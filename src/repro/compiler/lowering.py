@@ -362,11 +362,6 @@ def lower_rollback(writes, thread_id: int, flavor: str,
 _MEMO_ATTR = "_lowered_by_flavor"
 
 
-def clear_lowered_memo(program: Program) -> None:
-    """Drop ``program``'s lowering memo (test hook)."""
-    program.__dict__.pop(_MEMO_ATTR, None)
-
-
 def lower_program(program: Program, flavor: str,
                   log_mode: str = "undo") -> LoweredProgram:
     """Lower every thread of a workload program.

@@ -6,8 +6,8 @@ behaviours the paper's comparison is sensitive to:
 
 * compute batches into a single timeout (an 8-wide OoO core is far from
   memory-bound on ALU work);
-* loads block for their cache/PM latency (hits are synchronous, PM
-  misses yield an event);
+* loads take their cache latency; PM misses overlap up to the MLP
+  budget and fill the caches by callback when they complete;
 * stores, CLWBs and SFENCEs occupy store-queue entries; a full queue
   stalls the core (§8.2.1);
 * fences stall for whatever the active design says;
@@ -82,8 +82,8 @@ class Core:
         """Time by which every outstanding PM-miss load has returned."""
         return self._misses.drain_complete_time(now)
 
-    def _count_stale(self, event) -> None:
-        if event.value.stale:
+    def _count_stale(self, result) -> None:
+        if result.stale:
             self.stats.add("stale_loads")
 
     # ------------------------------------------------------------ main loop
@@ -195,10 +195,10 @@ class Core:
         stats_add = self.stats.add
         store_queue = self.store_queue
         core_id = self.core_id
+        count_stale = self._count_stale
         eager = runtime.recovery_mode == "eager"
         delay = 0
-        for op in ops:
-            stats_add("instructions")
+        for executed, op in enumerate(ops, 1):
             t = env.now + delay
             # Speculation-buffer overflow pauses every core (§5.3).
             release = stall.resume_at
@@ -209,6 +209,7 @@ class Core:
             if abortable and eager and runtime.must_abort(
                     core_id, at_boundary=False):
                 yield env.timeout(delay)
+                stats_add("instructions", executed)
                 stats_add("eager_aborts")
                 return ABORT
 
@@ -226,18 +227,18 @@ class Core:
                 accept = store_queue.push(t, done - t)
                 delay += max(1, accept - t)
             elif kind is Ld:
-                result = system.hierarchy.load(core_id, op.addr, t)
-                if result.event is None:
+                result = system.hierarchy.load(core_id, op.addr, t,
+                                               count_stale)
+                if result.level != "pm":
                     delay = result.done - env.now
                 else:
                     # PM miss: overlap it (MLP) instead of blocking; the
-                    # fill happens via the event's callback at `done`.
+                    # fill runs at `done` and counts a stale value.
                     stats_add("pm_loads")
                     accept = self._misses.push(t, result.done)
                     if accept > t:
                         stats_add("mlp_stall_cycles", accept - t)
                     delay += max(1, accept - t)
-                    result.event.add_callback(self._count_stale)
             elif kind is MirrorOld:
                 runtime.log_write(core_id, op.addr,
                                   system.image.read(op.addr))
@@ -283,6 +284,7 @@ class Core:
                         and runtime.must_abort(core_id,
                                                at_boundary=True)):
                     yield env.timeout(delay)
+                    stats_add("instructions", executed)
                     stats_add("lazy_aborts")
                     return ABORT
                 release_at = max(design.on_lock_op(core_id, t),
@@ -301,11 +303,13 @@ class Core:
                 delay = 0
                 if abortable and runtime.must_abort(core_id,
                                                     at_boundary=True):
+                    stats_add("instructions", executed)
                     stats_add("lazy_aborts")
                     return ABORT
                 runtime.fase_commit(core_id, env.now)
             else:  # pragma: no cover - lowering emits nothing else
                 raise TypeError(f"core cannot execute {op!r}")
+        stats_add("instructions", len(ops))
         if delay:
             yield env.timeout(delay)
         return COMMIT

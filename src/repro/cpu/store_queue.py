@@ -19,34 +19,28 @@ class StoreQueue:
     """Bounded commit-side queue; entries finish at caller-supplied times."""
 
     def __init__(self, config: SystemConfig, core_id: int):
-        self.core_id = core_id
-        self.capacity = config.store_queue_entries
-        self._queue = OccupancyQueue(capacity=self.capacity,
+        self._queue = OccupancyQueue(capacity=config.store_queue_entries,
                                      name=f"sq[{core_id}]")
-        self.stats = Counter()
+
+    @property
+    def stats(self) -> Counter:
+        """Pushes and full-queue stalls, from the queue's totals."""
+        queue = self._queue
+        return Counter(pushes=queue.pushes, full_stalls=queue.stalled_pushes,
+                       full_stall_cycles=queue.total_stall)
 
     def push(self, now: int, service: int) -> int:
         """Occupy an entry until ``now + service``; returns the admission
         time (``> now`` means the queue was full and the core stalls)."""
-        accept = self._queue.push(now, now + max(1, service))
-        self.stats.add("pushes")
-        if accept > now:
-            self.stats.add("full_stalls")
-            self.stats.add("full_stall_cycles", accept - now)
-        return accept
+        return self._queue.push(now, now + max(1, service))
 
     def drain_complete_time(self, now: int) -> int:
         """When every currently-queued operation has completed (what a
         fence must wait for)."""
         return self._queue.drain_complete_time(now)
 
-    def occupancy(self, now: int) -> int:
-        return self._queue.occupancy(now)
-
     def capture_state(self) -> dict:
-        return {"queue": self._queue.capture_state(),
-                "stats": self.stats.capture_state()}
+        return {"queue": self._queue.capture_state()}
 
     def restore_state(self, state: dict) -> None:
         self._queue.restore_state(state["queue"])
-        self.stats.restore_state(state["stats"])

@@ -74,6 +74,7 @@ from ..workloads import (
     BENCHMARKS,
     LoadMisspecProbe,
     StoreMisspecProbe,
+    built_program,
 )
 from .artifacts import load_artifact, save_artifact
 from .configs import default_config
@@ -437,8 +438,9 @@ def build_spec_system(spec: RunSpec, tracer=None, metrics=None,
     are identical either way -- so it is not part of the spec and does
     not perturb the sweep cache key.
     """
-    workload = _workload_class(spec.benchmark)(seed=spec.seed)
-    program = workload.build(spec.n_threads, spec.resolved_fases())
+    _workload, program = built_program(
+        _workload_class(spec.benchmark), spec.seed, spec.n_threads,
+        spec.resolved_fases())
     system = build_system(program, design_by_name(spec.design),
                           spec.resolved_config(),
                           recovery_mode=spec.recovery_mode,

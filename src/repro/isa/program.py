@@ -20,6 +20,7 @@ from .instructions import (
     LockRelease,
     PRead,
     PWrite,
+    index_blocks,
 )
 
 
@@ -127,7 +128,9 @@ class Program:
 
     ``initial_heap`` maps persistent addresses to their pre-run values
     (the single-threaded initialisation phase the paper excludes from
-    throughput measurement).  ``n_locks`` sizes the lock table.
+    throughput measurement); ``initial_blocks`` is the same heap by
+    cache block, shared by every PM device built for the program.
+    ``n_locks`` sizes the lock table.
     """
 
     def __init__(self, name: str, threads: Sequence[ThreadProgram],
@@ -137,6 +140,7 @@ class Program:
         self.threads = list(threads)
         self.n_locks = n_locks
         self.initial_heap = dict(initial_heap or {})
+        self.initial_blocks = index_blocks(self.initial_heap)
         self._validate()
 
     def _validate(self) -> None:

@@ -4,10 +4,10 @@ LLC, with MESI-lite coherence and write-back/write-allocate policy.
 Timing conventions
 ------------------
 * **Loads** return a :class:`LoadResult`; cache hits are fully
-  synchronous (``result.event is None``), LLC misses hand back an event
-  that fires when the PM controller's read completes.  The value a PM
-  miss returns is the *persisted* content at arrival time -- this is how
-  stale reads (PM load misspeculation, §5.1) manifest.
+  synchronous, an LLC miss (``level == "pm"``) fills the caches and
+  calls the caller's ``on_fill`` when the PM read completes.  The value
+  a PM miss returns is the *persisted* content at arrival time -- this
+  is how stale reads (PM load misspeculation, §5.1) manifest.
 * **Stores** are computed synchronously: state is mutated immediately
   and a completion time is returned; the store queue in
   :mod:`repro.cpu.store_queue` turns that into back-pressure.  Automaton
@@ -20,11 +20,12 @@ Timing conventions
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 from ..config import SystemConfig
 from ..isa import block_of
-from ..sim import Counter, Environment, Event
+from ..sim import Counter, Environment
 from .cache import EXCLUSIVE, MODIFIED, SHARED, Cache, EvictedLine
 from .interconnect import FlushPath
 from .pm_controller import PMController
@@ -55,16 +56,15 @@ class MemoryImage:
 
 
 class LoadResult:
-    """Outcome of a load: synchronous (value/done) or event-completed."""
+    """Outcome of a load; a PM miss (``level == "pm"``) gets its
+    ``value`` and ``stale`` when its fill runs at ``done``."""
 
-    __slots__ = ("value", "done", "event", "level", "stale")
+    __slots__ = ("value", "done", "level", "stale")
 
     def __init__(self, value: Optional[int] = None, done: int = 0,
-                 event: Optional[Event] = None, level: str = "l1",
-                 stale: bool = False):
+                 level: str = "l1", stale: bool = False):
         self.value = value
         self.done = done
-        self.event = event
         self.level = level
         self.stale = stale
 
@@ -215,7 +215,8 @@ class CacheHierarchy:
 
     # ----------------------------------------------------------------- load
 
-    def load(self, core_id: int, addr: int, now: int) -> LoadResult:
+    def load(self, core_id: int, addr: int, now: int,
+             on_fill: Optional[Callable] = None) -> LoadResult:
         block = block_of(addr)
         l1 = self.l1s[core_id]
         t = now + self.l1_lat
@@ -243,64 +244,66 @@ class CacheHierarchy:
                           SHARED if shared else EXCLUSIVE, t)
             return LoadResult(value=llc_line.data.get(addr, 0), done=t,
                               level="llc")
-        # PM access (regular path read).
+        # PM access (regular path read).  Stale-read accounting compares
+        # against the architectural value a race-free reader should
+        # observe *when the load issues*; later same-thread stores must
+        # not be mistaken for staleness.
         self.stats.add("pm_reads")
-        pm_event, est_done = self.pmc.read_block(block, t)
-        result_event = self.env.event()
-        # Stale-read accounting compares against the architectural value
-        # a race-free reader should observe *when the load issues*; later
-        # same-thread stores must not be mistaken for staleness.
-        arch_at_issue = self.image.read(addr)
+        result = LoadResult(level="pm")
+        result.done = self.pmc.read_block(block, t, partial(
+            self._pm_fill, core_id, addr, self.image.read(addr), result,
+            on_fill))
+        return result
 
-        def on_fill(event: Event) -> None:
-            content, done = event.value
-            value = content.get(addr, 0)
-            # Stale means the PM returned an *old* value: different from
-            # what a race-free reader expected at issue AND not simply the
-            # fresh value of a store whose persist landed before this
-            # read's (queue-delayed) arrival at the controller.
-            stale = (value != arch_at_issue
-                     and value != self.image.read(addr))
-            if stale:
-                self.stats.add("stale_reads")
-            # A store may have write-allocated this block while the fetch
-            # was in flight; never clobber newer cached data -- only add
-            # words the caches do not have yet.
-            existing = self.llc.lookup(block, touch=False)
-            if existing is None:
-                llc_victim = self.llc.insert(block, dict(content),
-                                             EXCLUSIVE)
-                if llc_victim is not None:
-                    self._retire_llc_victim(llc_victim, done)
+    def _pm_fill(self, core_id: int, addr: int, arch_at_issue: int,
+                 result: LoadResult, on_fill: Optional[Callable],
+                 content: Dict[int, int], done: int) -> None:
+        """A PM miss's block arrives: fill the caches, complete ``result``."""
+        block = block_of(addr)
+        value = content.get(addr, 0)
+        # Stale means the PM returned an *old* value: different from
+        # what a race-free reader expected at issue AND not simply the
+        # fresh value of a store whose persist landed before this
+        # read's (queue-delayed) arrival at the controller.
+        stale = (value != arch_at_issue
+                 and value != self.image.read(addr))
+        if stale:
+            self.stats.add("stale_reads")
+        # A store may have write-allocated this block while the fetch
+        # was in flight; never clobber newer cached data -- only add
+        # words the caches do not have yet.
+        existing = self.llc.lookup(block, touch=False)
+        if existing is None:
+            llc_victim = self.llc.insert(block, dict(content), EXCLUSIVE)
+            if llc_victim is not None:
+                self._retire_llc_victim(llc_victim, done)
+        else:
+            for word_addr, word_value in content.items():
+                existing.data.setdefault(word_addr, word_value)
+        l1_line = self.l1s[core_id].lookup(block, touch=False)
+        if l1_line is None:
+            owner = self._other_modified_owner(core_id, block)
+            if owner is not None:
+                # A store write-allocated the block (MODIFIED) while the
+                # fetch was in flight: fill from the peer's data,
+                # c2c-style, so the caches stay coherent even though the
+                # load's returned value is the (possibly stale) PM
+                # content.
+                peer = self.l1s[owner].lookup(block, touch=False)
+                data = dict(peer.data)
+                self.l1s[owner].downgrade(block, SHARED)
+                self._merge_into_llc(block, data, dirty=True, now=done)
+                self._fill_l1(core_id, block, data, SHARED, done)
             else:
-                for word_addr, word_value in content.items():
-                    existing.data.setdefault(word_addr, word_value)
-            l1_line = self.l1s[core_id].lookup(block, touch=False)
-            if l1_line is None:
-                owner = self._other_modified_owner(core_id, block)
-                if owner is not None:
-                    # A store write-allocated the block (MODIFIED) while
-                    # the fetch was in flight: fill from the peer's data,
-                    # c2c-style, so the caches stay coherent even though
-                    # the load's returned value is the (possibly stale)
-                    # PM content.
-                    peer = self.l1s[owner].lookup(block, touch=False)
-                    data = dict(peer.data)
-                    self.l1s[owner].downgrade(block, SHARED)
-                    self._merge_into_llc(block, data, dirty=True, now=done)
-                    self._fill_l1(core_id, block, data, SHARED, done)
-                else:
-                    shared = self._snoop_downgrade_peers(core_id, block)
-                    self._fill_l1(core_id, block, dict(content),
-                                  SHARED if shared else EXCLUSIVE, done)
-            else:
-                for word_addr, word_value in content.items():
-                    l1_line.data.setdefault(word_addr, word_value)
-            result_event.succeed(LoadResult(value=value, done=done,
-                                            level="pm", stale=stale))
-
-        pm_event.add_callback(on_fill)
-        return LoadResult(event=result_event, done=est_done)
+                shared = self._snoop_downgrade_peers(core_id, block)
+                self._fill_l1(core_id, block, dict(content),
+                              SHARED if shared else EXCLUSIVE, done)
+        else:
+            for word_addr, word_value in content.items():
+                l1_line.data.setdefault(word_addr, word_value)
+        result.value, result.stale = value, stale
+        if on_fill is not None:
+            on_fill(result)
 
     # ---------------------------------------------------------------- store
 

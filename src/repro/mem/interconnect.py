@@ -44,7 +44,12 @@ class PersistPath:
         # Arrival times of messages injected but not yet at the PMC,
         # in injection order; lazily pruned when sampling depth.
         self._in_flight: Deque[int] = deque()
-        self.stats = Counter()
+
+    @property
+    def stats(self) -> Counter:
+        """Messages and ring-slot wait cycles, from the ring's totals."""
+        return Counter(messages=self._bus.total_requests,
+                       cycles_waited=self._bus.total_wait)
 
     def set_core_extra(self, core_id: int, cycles: int) -> None:
         """Add fixed extra latency to one core's path.  Models asymmetric
@@ -68,8 +73,6 @@ class PersistPath:
             arrival = self._global_last + 1
         self._last_arrival[core_id] = arrival
         self._global_last = max(self._global_last, arrival)
-        self.stats.add("messages")
-        self.stats.add("cycles_waited", max(0, slot_done - now - self.slot_cycles))
         if self.metrics.enabled:
             in_flight = self._in_flight
             while in_flight and in_flight[0] <= now:
@@ -92,8 +95,7 @@ class PersistPath:
                 "last_arrival": list(self._last_arrival),
                 "core_extra": list(self._core_extra),
                 "global_last": self._global_last,
-                "in_flight": list(self._in_flight),
-                "stats": self.stats.capture_state()}
+                "in_flight": list(self._in_flight)}
 
     def restore_state(self, state: dict) -> None:
         self._bus.restore_state(state["bus"])
@@ -101,7 +103,6 @@ class PersistPath:
         self._core_extra = list(state["core_extra"])
         self._global_last = state["global_last"]
         self._in_flight = deque(state["in_flight"])
-        self.stats.restore_state(state["stats"])
 
 
 class FlushPath:
@@ -116,21 +117,17 @@ class FlushPath:
         self.traversal = config.ns(config.l1_to_pmc_ns)
         self.slot_cycles = max(1, config.ns(config.ring_slot_ns))
         self._bus = TimelineResource(width=width, name="flush-path")
-        self.stats = Counter()
 
     def send(self, now: int) -> int:
         """Returns arrival time at the PMC."""
         _start, slot_done = self._bus.reserve(now, self.slot_cycles)
-        self.stats.add("messages")
         return slot_done + self.traversal
 
     def capture_state(self) -> dict:
-        return {"bus": self._bus.capture_state(),
-                "stats": self.stats.capture_state()}
+        return {"bus": self._bus.capture_state()}
 
     def restore_state(self, state: dict) -> None:
         self._bus.restore_state(state["bus"])
-        self.stats.restore_state(state["stats"])
 
 
 class SpecIdCounter:

@@ -24,12 +24,34 @@ as in Figure 5.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..config import SystemConfig
-from ..sim import CapacityQueue, Counter, Environment, Event
+from ..sim import CapacityQueue, Counter, Environment
 from .interconnect import PersistMessage
 from .pm_device import PMDevice
+
+
+class _PendingRead:
+    """A PM read in flight; its bound methods are its scheduler items.
+    It lives long enough to reach the GC's old generations, where one
+    slotted object costs full collections far less than closures."""
+
+    __slots__ = ("pmc", "block", "done", "fill", "content")
+
+    def __init__(self, pmc, block: int, done: int, fill) -> None:
+        self.pmc, self.block, self.done, self.fill = pmc, block, done, fill
+
+    def arrive(self) -> None:
+        self.pmc.policy.on_read(self.block, self.pmc.env.now)
+        self.content = self.pmc.device.block_content(self.block)
+
+    def complete(self) -> None:
+        if self.fill is not None:
+            self.pmc.env.call_at(self.done, self.finish)
+
+    def finish(self) -> None:
+        self.fill(self.content, self.done)
 
 
 class PMCPolicy:
@@ -118,15 +140,16 @@ class PMController:
 
     # ---------------------------------------------------------------- reads
 
-    def read_block(self, block: int, now: int):
-        """Fetch a block from PM for the regular path.
+    def read_block(self, block: int, now: int,
+                   fill: Optional[Callable] = None) -> int:
+        """Fetch a block from PM for the regular path; returns ``done``
+        at once, so the core can model memory-level parallelism.
 
-        Returns ``(event, done)``: the event fires at ``done`` with the
-        block contents *as persisted at arrival time* -- the stale-read
-        semantics of §5.1: a value still in flight on the persist path is
-        not visible.  ``done`` is exposed synchronously so the core can
-        model memory-level parallelism without blocking on the event.
-        """
+        At ``done`` it calls ``fill(content, done)`` with the block *as
+        persisted at arrival* -- the stale reads of §5.1: a value still in
+        flight on the persist path is not visible.  The completion hop,
+        booked at issue, queues the fill at the tail of cycle ``done``
+        (and, with no ``fill``, holds the event queue open until then)."""
         self.stats.add("reads")
         delay = self.policy.read_delay(block, now)
         if delay:
@@ -138,17 +161,10 @@ class PMController:
             # at the same time the policy observes them.
             self.env.trace.instant(self.TRACE_TRACK, "pm-read", accept,
                                    args={"block": block}, cat="pmc")
-        completion = self.env.event()
-        content_cell: Dict[int, int] = {}
-
-        def at_arrival() -> None:
-            self.policy.on_read(block, self.env.now)
-            content_cell.update(self.device.block_content(block))
-
-        self.env.call_at(accept, at_arrival)
-        self.env.call_at(done, lambda: completion.succeed(
-            (dict(content_cell), done)))
-        return completion, done
+        read = _PendingRead(self, block, done, fill)
+        self.env.call_at(accept, read.arrive)
+        self.env.call_at(done, read.complete)
+        return done
 
     # ----------------------------------------------------------- writebacks
 
@@ -197,13 +213,6 @@ class PMController:
         self.env.call_at(
             accept, lambda: self.policy.on_persist(msg, self.env.now))
         return accept
-
-    # -------------------------------------------------------------- helpers
-
-    def write_queue_drained(self, now: int) -> int:
-        """Time at which everything currently in the WPQ has reached the
-        device (only needed by explicit drain experiments, not ADR)."""
-        return self.write_queue.drain_complete_time(now)
 
     # ---------------------------------------------------------- snapshotting
 

@@ -14,19 +14,21 @@ offline inspection.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..isa import CACHE_BLOCK_BYTES, block_base
+from ..isa.instructions import CACHE_BLOCK_BYTES, block_base, index_blocks
 
 
 class PMDevice:
     """Byte-addressable persistent memory with a persisted-value image."""
 
-    __slots__ = ("_image", "_blocks", "record_history", "history",
-                 "stores_persisted", "blocks_persisted", "on_persist")
+    __slots__ = ("_image", "_blocks", "_shared", "record_history",
+                 "history", "stores_persisted", "blocks_persisted",
+                 "on_persist")
 
     def __init__(self, initial_image: Optional[Dict[int, int]] = None,
-                 record_history: bool = False):
+                 record_history: bool = False,
+                 initial_blocks: Optional[Dict[int, Dict[int, int]]] = None):
         self._image: Dict[int, int] = dict(initial_image or {})
         # Per-block view of the same image, so block_content is O(words
         # in block) instead of an O(image) scan per PM read.  Both maps
@@ -34,14 +36,11 @@ class PMDevice:
         # order here matches a block-filtered scan of ``_image`` exactly
         # (the image only ever grows) -- keeping replay and snapshot
         # encodings byte-identical with the single-map implementation.
-        self._blocks: Dict[int, Dict[int, int]] = {}
-        for addr, value in self._image.items():
-            block = addr // CACHE_BLOCK_BYTES
-            bucket = self._blocks.get(block)
-            if bucket is None:
-                self._blocks[block] = {addr: value}
-            else:
-                bucket[addr] = value
+        # ``initial_blocks`` (:attr:`Program.initial_blocks`) is that view
+        # of ``initial_image``, shared until a block's first persist.
+        self._shared = initial_blocks or {}
+        self._blocks = (index_blocks(self._image) if initial_blocks is None
+                        else dict(initial_blocks))
         self.record_history = record_history
         # (time, addr, value, origin) tuples, origin in
         # {"persist-path", "writeback", "recovery"}.
@@ -64,15 +63,20 @@ class PMDevice:
         bucket = self._blocks.get(block)
         return dict(bucket) if bucket else {}
 
+    def _writable(self, block: int) -> Dict[int, int]:
+        """This device's own dict for ``block``, made on first write."""
+        bucket = self._blocks.get(block)
+        if bucket is None:
+            bucket = self._blocks[block] = {}
+        elif bucket is self._shared.get(block):
+            bucket = self._blocks[block] = dict(bucket)
+        return bucket
+
     def persist_store(self, addr: int, value: int, now: int,
                       origin: str = "persist-path") -> None:
         """Persist one store (persist-path message accepted at the PMC)."""
         self._image[addr] = value
-        bucket = self._blocks.get(addr // CACHE_BLOCK_BYTES)
-        if bucket is None:
-            self._blocks[addr // CACHE_BLOCK_BYTES] = {addr: value}
-        else:
-            bucket[addr] = value
+        self._writable(addr // CACHE_BLOCK_BYTES)[addr] = value
         self.stores_persisted += 1
         if self.record_history:
             self.history.append((now, addr, value, origin))
@@ -83,10 +87,7 @@ class PMDevice:
                       origin: str = "writeback") -> None:
         """Persist a whole cache block (CLWB / LLC writeback accepted)."""
         base = block_base(addr)
-        block = base // CACHE_BLOCK_BYTES
-        bucket = self._blocks.get(block)
-        if bucket is None:
-            bucket = self._blocks[block] = {}
+        bucket = self._writable(base // CACHE_BLOCK_BYTES)
         image = self._image
         for byte_addr, value in data.items():
             if not base <= byte_addr < base + CACHE_BLOCK_BYTES:
@@ -105,9 +106,6 @@ class PMDevice:
         """Copy of the full persisted image (crash-test capture)."""
         return dict(self._image)
 
-    def addresses(self) -> Iterator[int]:
-        return iter(self._image)
-
     def __len__(self) -> int:
         return len(self._image)
 
@@ -119,14 +117,8 @@ class PMDevice:
 
     def restore_state(self, state: dict) -> None:
         self._image = {addr: value for addr, value in state["image"]}
-        self._blocks = {}
-        for addr, value in self._image.items():
-            block = addr // CACHE_BLOCK_BYTES
-            bucket = self._blocks.get(block)
-            if bucket is None:
-                self._blocks[block] = {addr: value}
-            else:
-                bucket[addr] = value
+        self._blocks = index_blocks(self._image)
+        self._shared = {}
         self.history = [tuple(entry) for entry in state["history"]]
         self.stores_persisted = state["stores_persisted"]
         self.blocks_persisted = state["blocks_persisted"]

@@ -47,27 +47,18 @@ class CrashOutcome:
 def build_crash_system(workload_cls: Type, design_name: str,
                        n_threads: int, fases_per_thread: int, seed: int,
                        config: Optional[SystemConfig] = None,
-                       log_mode: str = "undo", tracer=None,
-                       prebuilt=None):
+                       log_mode: str = "undo", tracer=None):
     """One build path for every crash-injection entry point: returns the
     ``(workload, system)`` pair ready to run (the validation campaign
     reuses this with a tracer attached, so a measured uninterrupted run
-    and the crashed run are built identically by construction).
-
-    ``prebuilt`` is an optional ``(workload, program)`` pair from a
-    previous build with the same (workload_cls, n_threads,
-    fases_per_thread, seed): program materialisation dominates build
-    time at large fase counts, and both objects are immutable after
-    ``build()`` (the system copies the initial heap), so callers running
-    many trials of one cell can pregenerate once.
+    and the crashed run are built identically by construction); runs
+    of one cell share the program through the built-program memo.
     """
     from ..persistency import design_by_name
     from ..system import build_system
-    if prebuilt is not None:
-        workload, program = prebuilt
-    else:
-        workload = workload_cls(seed=seed)
-        program = workload.build(n_threads, fases_per_thread)
+    from ..workloads import built_program
+    workload, program = built_program(workload_cls, seed, n_threads,
+                                      fases_per_thread)
     cfg = config or table3_config(n_cores=n_threads)
     system = build_system(program, design_by_name(design_name), cfg,
                           log_mode=log_mode, tracer=tracer)

@@ -18,7 +18,7 @@ misspeculation-recovery contract the paper requires of the runtime:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.events import MisspeculationEvent
 from ..sim import Counter
@@ -143,13 +143,6 @@ class FailureAtomicRuntime:
     @property
     def total_aborts(self) -> int:
         return sum(state.aborts for state in self.threads)
-
-    def in_fase_threads(self) -> List[int]:
-        return [s.thread_id for s in self.threads if s.in_fase]
-
-    def thread_stats(self) -> Dict[int, Dict[str, int]]:
-        return {s.thread_id: {"commits": s.commits, "aborts": s.aborts}
-                for s in self.threads}
 
     # -------------------------------------------------------- snapshotting
 

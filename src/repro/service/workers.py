@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..harness.retry import SERVICE_POLICY, RetryPolicy
-from ..harness.sweep import reset_worker_signals
+from ..harness.sweep import _error_tail, reset_worker_signals
 from ..obsv.bus import Bus, QueueEmitter, drain_queue, get_bus, set_bus
 from ..telemetry import current_context, get_logger, seed_context
 
@@ -487,9 +487,3 @@ class WorkStealingPool:
                      error=_error_tail(outcome.error))
         if on_result is not None:
             on_result(outcome)
-
-
-def _error_tail(error: str, limit: int = 200) -> str:
-    lines = [line for line in str(error).strip().splitlines() if line]
-    tail = lines[-1] if lines else str(error)
-    return tail[:limit]

@@ -112,9 +112,6 @@ class TimelineResource:
         self.total_requests = 0
         self.total_wait = 0
 
-    def earliest_start(self, now: int) -> int:
-        return max(now, min(self._lanes))
-
     def reserve(self, now: int, service: int) -> Tuple[int, int]:
         if service < 0:
             raise ValueError("negative service time")
@@ -277,10 +274,7 @@ class CapacityQueue:
         # Keep completions sorted: drains are FIFO per lane but lanes can
         # interleave; insert in order.
         if self._completions and finish < self._completions[-1]:
-            items = list(self._completions)
-            items.append(finish)
-            items.sort()
-            self._completions = deque(items)
+            insort(self._completions, finish)
         else:
             self._completions.append(finish)
         self.pushes += 1

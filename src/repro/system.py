@@ -192,7 +192,8 @@ class System:
             register_track("pmc")
             register_track("spec-buffer")
         self.device = PMDevice(program.initial_heap,
-                               record_history=record_history)
+                               record_history=record_history,
+                               initial_blocks=program.initial_blocks)
         self.image = MemoryImage(program.initial_heap)
         self.stall = StallController()
         # One speculation buffer per PM controller (§5.3, §7); they share

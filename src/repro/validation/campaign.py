@@ -35,7 +35,7 @@ from ..snapshot import (SNAPSHOT_SCHEMA_VERSION, SnapshotError,
                         SnapshotLadder, SnapshotStore, nearest_rung,
                         restore_nearest)
 from ..telemetry import get_logger
-from ..workloads import BENCHMARKS
+from ..workloads import BENCHMARKS, holding_programs
 from .faults import fault_by_name
 from .history import (FASE, PERSIST, WRITEBACK, events_to_history,
                       history_from_recorder, truncate_history)
@@ -107,24 +107,6 @@ def _cell_index_name(spec: TrialSpec) -> str:
     return hashlib.sha256(blob).hexdigest()[:24]
 
 
-# Program materialisation (workload.build) dominates trial build time at
-# large fase counts, and every trial of a cell builds the identical
-# program.  Memoise the built pair per process: workload and program are
-# immutable after build() (the system copies the initial heap), so trials
-# stay pure functions of their spec.  Keys are one per campaign cell --
-# the cache stays tiny.
-_PROGRAM_CACHE: Dict[Tuple[str, int, int, int], Tuple[object, object]] = {}
-
-
-def _built_program(spec: TrialSpec) -> Tuple[object, object]:
-    key = (spec.workload, spec.n_threads, spec.fases_per_thread, spec.seed)
-    if key not in _PROGRAM_CACHE:
-        workload = BENCHMARKS[spec.workload](seed=spec.seed)
-        program = workload.build(spec.n_threads, spec.fases_per_thread)
-        _PROGRAM_CACHE[key] = (workload, program)
-    return _PROGRAM_CACHE[key]
-
-
 def _build(spec: TrialSpec, capture: bool = False,
            keep_rungs: bool = False):
     """Build the traced system for one trial, fault armed.  With a
@@ -139,7 +121,7 @@ def _build(spec: TrialSpec, capture: bool = False,
     workload, system = build_crash_system(
         BENCHMARKS[spec.workload], spec.design, spec.n_threads,
         spec.fases_per_thread, spec.seed, config, log_mode=spec.log_mode,
-        tracer=recorder, prebuilt=_built_program(spec))
+        tracer=recorder)
     ladder = None
     if spec.snapshot_every:
         store = (SnapshotStore(spec.snapshot_dir)
@@ -683,24 +665,8 @@ class CampaignReport:
         return payload
 
     def fingerprint(self) -> str:
-        """Content hash of the report's deterministic payload.
-
-        Wall-clock fields (``elapsed_s``, the crashstates ``timings``)
-        and the metrics snapshot are stripped, so two campaigns with
-        identical parameters and ``--seed`` produce byte-identical
-        fingerprints -- the reproducibility contract ``validate --seed``
-        prints and tests pin.
-        """
-        def strip(value):
-            if isinstance(value, dict):
-                return {key: strip(item) for key, item in value.items()
-                        if key not in ("elapsed_s", "timings", "obsv")}
-            if isinstance(value, list):
-                return [strip(item) for item in value]
-            return value
-
-        blob = json.dumps(strip(self.to_dict()), sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        """:func:`report_fingerprint` of this report."""
+        return report_fingerprint(self.to_dict())
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -716,6 +682,24 @@ class CampaignReport:
             f"{self.total_failures} FAILURES {self.violation_kinds()}")
         return (f"CampaignReport({len(self.cells)} cells, "
                 f"{self.total_trials} trials: {status})")
+
+
+def report_fingerprint(payload: Dict) -> str:
+    """Content hash of a campaign report without its wall-clock fields
+    (``elapsed_s``, ``timings``), metrics (``obsv``) and store location
+    (``snapshot_dir``), at any depth: identical seeded campaigns, and a
+    cold run and its service resume, hash alike wherever they ran."""
+    def strip(value):
+        if isinstance(value, dict):
+            return {key: strip(item) for key, item in value.items()
+                    if key not in ("elapsed_s", "timings", "obsv",
+                                   "snapshot_dir")}
+        if isinstance(value, list):
+            return [strip(item) for item in value]
+        return value
+
+    blob = json.dumps(strip(payload), sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 # ------------------------------------------------------------- campaign
@@ -736,6 +720,9 @@ _CRASH_STATE_MAX_CYCLES = 12
 _CRASH_STATE_RUNGS = 16
 
 
+# The campaign's phases (probe, profile, trials, crash states) visit
+# every cell in turn: hold the cells' programs so each is built once.
+@holding_programs()
 def run_campaign(workloads: Sequence[str], designs: Sequence[str],
                  planner: str = "stratified", fault: str = "power-cut",
                  budget: int = 200, seed: int = 42,

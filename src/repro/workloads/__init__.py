@@ -4,6 +4,7 @@ from .array_swaps import ArraySwaps
 from .base import TraceRecorder, Workload
 from .hashmap import Hashmap
 from .memcached import Memcached
+from .memo import built_program, holding_programs
 from .queue import ConcurrentQueue
 from .rbtree import RBTree
 from .synthetic import LoadMisspecProbe, StoreMisspecProbe
@@ -36,5 +37,5 @@ __all__ = [
     "ArraySwaps", "BENCHMARKS", "ConcurrentQueue", "Hashmap",
     "LoadMisspecProbe", "Memcached", "RBTree", "StoreMisspecProbe",
     "TATP", "TPCC", "TraceRecorder", "Vacation", "Workload",
-    "workload_by_name",
+    "built_program", "holding_programs", "workload_by_name",
 ]

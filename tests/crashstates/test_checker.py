@@ -149,6 +149,19 @@ class TestCampaignWiring:
                              **{**kwargs, "seed": 8})
         assert first.fingerprint() != third.fingerprint()
 
+    def test_campaign_fingerprint_ignores_snapshot_dir(self, tmp_path):
+        """The rung store's location is provenance, not outcome: the
+        same seeded campaign in two directories has one fingerprint."""
+        kwargs = dict(budget=8, fases_per_thread=4, seed=7,
+                      snapshot_rungs=4, batch=4, crash_states=True,
+                      image_budget=8)
+        first = run_campaign(["array_swaps"], ["DPO"],
+                             snapshot_dir=str(tmp_path / "a"), **kwargs)
+        second = run_campaign(["array_swaps"], ["DPO"],
+                              snapshot_dir=str(tmp_path / "b"), **kwargs)
+        assert first.params["snapshot_dir"] != second.params["snapshot_dir"]
+        assert first.fingerprint() == second.fingerprint()
+
     def test_campaign_without_crash_states_unchanged(self):
         report = run_campaign(["array_swaps"], ["DPO"], budget=8,
                               fases_per_thread=4)

@@ -35,14 +35,13 @@ class TestStoreQueuePressure:
             system = build_system(program, design_by_name("IntelX86"),
                                   config)
             result = system.run()
-            stalls = result.stats["cores"]["core0"].get(
-                "full_stall_cycles", 0)
             sq = system.cores[0].store_queue.stats
-            return result.cycles, sq["full_stalls"]
+            return result.cycles, sq["full_stalls"], sq["full_stall_cycles"]
 
-        cycles_small, stalls_small = run(entries=2)
-        cycles_big, stalls_big = run(entries=64)
+        cycles_small, stalls_small, stall_cycles_small = run(entries=2)
+        cycles_big, stalls_big, stall_cycles_big = run(entries=64)
         assert stalls_small > stalls_big
+        assert stall_cycles_small > stall_cycles_big
         assert cycles_small >= cycles_big
 
 

@@ -60,17 +60,14 @@ def run_sequence(ops, tiny):
             reference[addr] = value
             env.run(until=t + 1900)
         else:
-            result = hierarchy.load(core, addr, t)
             expected = reference.get(addr, 0)
-            if result.event is None:
+
+            def check(result, expected=expected, addr=addr):
                 if result.value != expected:
                     mismatches.append((addr, result.value, expected))
-            else:
-                def check(event, expected=expected, addr=addr):
-                    if event.value.value != expected:
-                        mismatches.append(
-                            (addr, event.value.value, expected))
-                result.event.add_callback(check)
+            result = hierarchy.load(core, addr, t, check)
+            if result.level != "pm":
+                check(result)
             env.run(until=t + 1900)
     env.run()
     return mismatches, hierarchy

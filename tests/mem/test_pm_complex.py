@@ -84,14 +84,9 @@ class TestComplexAPI:
         env, pmc = make_complex(n=2)
         pmc.device.persist_store(64, 7, 0)
         results = []
-
-        def proc():
-            content, _done = yield pmc.read_block(1, 0)[0]
-            results.append(content)
-
-        env.process(proc())
+        pmc.read_block(1, 0, lambda content, _done: results.append(content))
         env.run()
-        assert results[0] == {64: 7}
+        assert results == [{64: 7}]
         pmc.accept_writeback(128, {128: 9}, arrival=env.now)
         env.run()
         assert pmc.device.read(128) == 9

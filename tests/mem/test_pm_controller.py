@@ -1,8 +1,11 @@
 """Unit tests for the PM controller: queueing, policy hooks, timing order."""
 
+import pytest
+
 from repro.config import table3_config
-from repro.mem import PMController, PMCPolicy, PMDevice, PersistMessage
-from repro.sim import Environment
+from repro.mem import (PMCComplex, PMController, PMCPolicy, PMDevice,
+                       PersistMessage)
+from repro.sim import SCHEDULERS, Environment
 
 
 def make_pmc(policy=None, initial=None, **overrides):
@@ -13,68 +16,90 @@ def make_pmc(policy=None, initial=None, **overrides):
     return env, pmc
 
 
+def read(pmc, block, now):
+    """Issue one read; returns the list its fill appends (content, done)
+    to."""
+    fills = []
+    pmc.read_block(block, now, lambda content, done:
+                   fills.append((content, done)))
+    return fills
+
+
 class TestReads:
     def test_read_latency_is_device_read(self):
         env, pmc = make_pmc(initial={0x40: 7})
-        results = []
-
-        def proc():
-            content, done = yield pmc.read_block(1, env.now)[0]
-            results.append((content, done))
-
-        env.process(proc())
+        fills = read(pmc, 1, env.now)
         env.run()
         config = table3_config()
-        assert results[0][1] == config.ns(config.pm_read_ns)
-        assert results[0][0] == {0x40: 7}
+        assert fills == [({0x40: 7}, config.ns(config.pm_read_ns))]
+
+    def test_read_returns_done_synchronously(self):
+        env, pmc = make_pmc(initial={0x40: 7})
+        done = pmc.read_block(1, 0, lambda content, at: None)
+        config = table3_config()
+        assert done == config.ns(config.pm_read_ns)
+        assert env.now == 0
 
     def test_read_snapshot_taken_at_arrival(self):
         """A persist accepted after the read's arrival must NOT be visible:
         the stale-read semantics of §5.1."""
         env, pmc = make_pmc()
-        seen = []
-
-        def reader():
-            content, _done = yield pmc.read_block(1, 0)[0]
-            seen.append(content.get(0x40, 0))
+        fills = read(pmc, 1, 0)
 
         def late_writer():
             yield env.timeout(50)  # after read arrival (0), before done (350)
             pmc.accept_persist(PersistMessage(0, 0x40, 99), arrival=env.now)
 
-        env.process(reader())
         env.process(late_writer())
         env.run()
-        assert seen == [0]
+        assert [content.get(0x40, 0) for content, _done in fills] == [0]
 
     def test_read_sees_earlier_persist(self):
         env, pmc = make_pmc()
-        seen = []
-
-        def writer_then_reader():
-            pmc.accept_persist(PersistMessage(0, 0x40, 42), arrival=0)
-            yield env.timeout(10)
-            content, _ = yield pmc.read_block(1, env.now)[0]
-            seen.append(content[0x40])
-
-        env.process(writer_then_reader())
+        pmc.accept_persist(PersistMessage(0, 0x40, 42), arrival=0)
+        env.run(until=10)
+        fills = read(pmc, 1, env.now)
         env.run()
-        assert seen == [42]
+        assert [content[0x40] for content, _done in fills] == [42]
 
     def test_read_queue_backpressure(self):
         env, pmc = make_pmc(pmc_read_queue=2, pmc_banks=1)
-        done_times = []
-
-        def proc():
-            events = [pmc.read_block(i, 0)[0] for i in range(3)]
-            for event in events:
-                _content, done = yield event
-                done_times.append(done)
-
-        env.process(proc())
+        fills = [read(pmc, i, 0) for i in range(3)]
         env.run()
-        read = table3_config().ns(table3_config().pm_read_ns)
-        assert done_times == [read, 2 * read, 3 * read]
+        read_ns = table3_config().ns(table3_config().pm_read_ns)
+        assert [fill[0][1] for fill in fills] == [read_ns, 2 * read_ns,
+                                                  3 * read_ns]
+
+    def test_unconsumed_read_holds_queue_until_done(self):
+        """A write-allocate fetch has no fill, but the event queue must
+        not drain before it completes (snapshot quiesce points and the
+        final cycle count depend on it)."""
+        env, pmc = make_pmc()
+        done = pmc.read_block(1, 0)
+        env.run()
+        assert env.now == done
+
+
+class TestReadOrdering:
+    """The fill runs at the tail of its completion cycle: the completion
+    hop booked when the read issues queues it behind anything already
+    queued for that cycle."""
+
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_item_queued_after_issue_runs_before_fill(self, scheduler,
+                                                      complex_):
+        env = Environment(scheduler=scheduler)
+        config = table3_config()
+        device = PMDevice({0x40: 1})
+        pmc = (PMCComplex(env, config, device, n_controllers=2)
+               if complex_ else PMController(env, config, device))
+        order = []
+        done = pmc.read_block(1, 0, lambda content, at:
+                              order.append(("fill", env.now)))
+        env.call_at(done, lambda: order.append(("later", env.now)))
+        env.run()
+        assert order == [("later", done), ("fill", done)]
 
 
 class TestWritebacks:
@@ -144,12 +169,7 @@ class TestPolicyDispatch:
         # Host call order: persist first, but with the LATEST arrival.
         pmc.accept_persist(PersistMessage(0, 0x40, 1), arrival=500)
         pmc.accept_writeback(0x40, {0x40: 0}, arrival=100)
-        event, _done = pmc.read_block(1, 200)
-
-        def proc():
-            yield event
-
-        env.process(proc())
+        pmc.read_block(1, 200)
         env.run()
         kinds = [entry[0] for entry in policy.trace]
         assert kinds == ["writeback", "read", "persist"]
@@ -157,16 +177,10 @@ class TestPolicyDispatch:
     def test_read_delay_charged(self):
         policy = RecordingPolicy()
         env, pmc = make_pmc(policy=policy)
-        done_holder = []
-
-        def proc():
-            _content, done = yield pmc.read_block(1, 0)[0]
-            done_holder.append(done)
-
-        env.process(proc())
+        fills = read(pmc, 1, 0)
         env.run()
         base = table3_config().ns(table3_config().pm_read_ns)
-        assert done_holder[0] == base + 7
+        assert [done for _content, done in fills] == [base + 7]
         assert pmc.stats["read_delay_cycles"] == 7
 
     def test_overriding_policy_suppresses_default_persist(self):

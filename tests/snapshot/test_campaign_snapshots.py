@@ -107,13 +107,14 @@ class TestBuildCaches:
         run_trial(replace(self.SPEC, crash_cycle=4000))
         assert run_trial(self.SPEC) == first
 
-    def test_warm_caches_match_fresh_caches(self):
-        from repro.compiler.lowering import clear_lowered_memo
-        from repro.validation.campaign import _PROGRAM_CACHE
+    def test_warm_caches_match_fresh_caches(self, monkeypatch):
+        from weakref import WeakValueDictionary
+
+        from repro.workloads import memo
         warm = run_trial(self.SPEC)
-        for _workload, program in _PROGRAM_CACHE.values():
-            clear_lowered_memo(program)
-        _PROGRAM_CACHE.clear()
+        # Forget every built program (and so its lowering memo).
+        monkeypatch.setattr(memo, "_live", WeakValueDictionary())
+        monkeypatch.setattr(memo, "_latest", None)
         assert run_trial(self.SPEC) == warm
 
 
