@@ -1,14 +1,15 @@
 """Image applicator + recovery checker: prove recovery converges from
 *every* durable state the design's model allows.
 
-One :func:`check_cell` call runs a cell's canonical laddered run once
-(device history recording on, rung payloads kept in memory), then for
+One :func:`check_cell` call builds the cell's canonical
+:class:`repro.validation.Cell` -- its canonical laddered run, once, with
+device history recording on and rung payloads kept in memory -- then for
 each requested crash cycle:
 
-1. **acquire** the machine state at the cycle by restoring the nearest
-   in-memory rung and replaying the tail (the PR 4 snapshot layer: a
-   rung-restore, not a cold boot; ``snapshot_every=0`` degrades to the
-   cold path so the speedup is measurable),
+1. **acquire** the machine state at the cycle through
+   :meth:`Cell.acquire`, the same path campaign trials use: restore the
+   nearest in-memory rung and replay the tail (``snapshot_every=0``
+   degrades to cold acquires),
 2. **pin** the model's floor image -- every record applied -- against
    the simulator's own ``persisted_snapshot()``, byte for byte (this is
    the end-to-end check that record grouping and materialisation are
@@ -28,17 +29,13 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..obsv.bus import get_bus
 from ..runtime.recovery import run_recovery
-from ..snapshot import nearest_rung
 from ..telemetry import get_logger
-from ..validation.campaign import (TrialSpec, _build, _oracle_for,
-                                   _pre_tuple_events, _private_copy)
+from ..validation.campaign import Cell, TrialSpec
 from ..validation.faults import fault_by_name
-from ..validation.history import events_to_history, truncate_history
 from ..validation.shrink import shrink_crash_cycle
 from .models import (DEFAULT_BUDGET, MODEL_FOR_DESIGN,
                      enumerate_durable_states, order_context_from_history,
@@ -57,70 +54,16 @@ def _image_fingerprint(image: Dict[int, int]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-class _Cell:
-    """The resident canonical run one cell's image checks restore into."""
-
-    def __init__(self, spec: TrialSpec, restore: bool = True):
-        base = replace(spec, crash_cycle=0, snapshot_dir=None)
-        self.spec = base
-        # restore=False keeps the ladder's timing universe (parking is
-        # part of trial timing) but cold-boots every acquire -- the
-        # apples-to-apples baseline the crashstates bench gates against.
-        self.restore = restore
-        started = time.perf_counter()
-        self.workload, self.system, _fault, self.recorder, ladder = \
-            _build(base, capture=True, keep_rungs=True)
-        # The device history is the enumerator's input; the flag is not
-        # part of captured state, so it survives every restore below.
-        self.system.device.record_history = True
-        self.initial_image = dict(self.system.device.snapshot())
-        self.initial_payload = _pre_tuple_events(
-            _private_copy(self.system.capture_state()))
-        result = self.system.run()
-        self.total_cycles = result.cycles
-        self.rungs: List[Dict] = []
-        if ladder is not None:
-            for rung in ladder.rungs:
-                payload = rung.get("payload")
-                if payload is None:
-                    continue
-                rung = dict(rung)
-                rung["payload"] = _pre_tuple_events(_private_copy(payload))
-                self.rungs.append(rung)
-        self.canonical_s = time.perf_counter() - started
-
-    def acquire(self, crash_cycle: int):
-        """Restore the nearest rung and replay to the crash; returns
-        ``(fault, restored_from, horizon)`` with the system positioned
-        exactly as a campaign trial's cut point."""
-        fault = fault_by_name(self.spec.fault)
-        fault.arm(self.system)
-        rung = (nearest_rung(self.rungs, crash_cycle)
-                if self.restore else None)
-        if rung is not None:
-            self.system.restore_state(rung["payload"])
-            restored_from: Optional[int] = rung["cycle"]
-        else:
-            self.system.restore_state(self.initial_payload)
-            restored_from = None
-        done = self.system.launch()
-        self.system.advance(until=crash_cycle, stop_event=done)
-        if self.system.env.now < crash_cycle:
-            self.system.advance(until=crash_cycle)
-        fault.at_crash(self.system, crash_cycle)
-        return fault, restored_from, self.system.env.now
-
-
-def _check_cycle(cell: _Cell, crash_cycle: int, image_budget: int,
+def _check_cycle(cell: Cell, crash_cycle: int, image_budget: int,
                  timings: Dict[str, float]) -> Dict:
     """Acquire, pin, enumerate, and judge one crash cycle."""
     spec = cell.spec
     bus = get_bus()
     t0 = time.perf_counter()
-    fault, restored_from, horizon = cell.acquire(crash_cycle)
+    fault, restored_from, _done = cell.acquire(crash_cycle)
+    horizon = cell.system.env.now
     snapshot = cell.system.persisted_snapshot()
-    history = truncate_history(
-        events_to_history(cell.recorder.events()), horizon)
+    history = cell.history(horizon)
     t1 = time.perf_counter()
 
     records = records_from_device_history(cell.system.device.history,
@@ -134,8 +77,7 @@ def _check_cycle(cell: _Cell, crash_cycle: int, image_budget: int,
     floor_matches = states.floor_image(cell.initial_image) == snapshot
     t2 = time.perf_counter()
 
-    oracle_violations = [
-        v.to_dict() for v in _oracle_for(cell.system).check(history)]
+    oracle_violations = [v.to_dict() for v in cell.oracle().check(history)]
     bus.emit("image_enumerated", workload=spec.workload,
              design=spec.design, crash_cycle=crash_cycle,
              n_images=states.n_states, truncated=states.truncated,
@@ -213,7 +155,7 @@ def check_cell(spec: TrialSpec, crash_cycles: Sequence[int],
             "cycles": [], "consistent": True,
         }
 
-    cell = _Cell(spec, restore=restore)
+    cell = Cell(spec, canonical=True, restore=restore)
     timings = {"canonical_s": cell.canonical_s, "acquire_s": 0.0,
                "enumerate_s": 0.0, "check_s": 0.0}
     cycle_payloads: List[Dict] = []

@@ -32,7 +32,6 @@ from .report import (
 from .retry import DEFAULT_POLICY, SERVICE_POLICY, RetryPolicy
 from .runner import normalized_throughput
 from .sweep import (
-    STRUCTURAL_FIELDS,
     ParallelExecutor,
     RunSpec,
     Sweep,
@@ -41,9 +40,7 @@ from .sweep import (
     WorkerTaskError,
     build_spec_system,
     execute_spec,
-    fork_warm_starts,
     plan_batches,
-    structural_mismatches,
 )
 
 __all__ = [
@@ -55,9 +52,9 @@ __all__ = [
     "format_timeseries", "sparkline", "execute_spec",
     "figure2_annotation_burden",
     "lazy_vs_eager_recovery", "misspeculation_rates",
-    "ParallelExecutor", "RunSpec", "STRUCTURAL_FIELDS", "Sweep",
-    "SweepError", "SweepResult", "build_spec_system", "fork_warm_starts",
-    "structural_mismatches", "undo_vs_redo_ablation",
+    "ParallelExecutor", "RunSpec", "Sweep",
+    "SweepError", "SweepResult", "build_spec_system",
+    "undo_vs_redo_ablation",
     "naive_tagging_ablation", "normalized_throughput",
     "table3_rows",
     "DEFAULT_POLICY", "SERVICE_POLICY", "RetryPolicy",

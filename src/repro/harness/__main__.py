@@ -502,7 +502,9 @@ def cmd_snapshot(args) -> int:
     spec = cell_spec()
     outcome = _timed("snapshot-verify", lambda: verify_cell(spec))
     for check in outcome["checks"]:
-        status = "ok" if check["fingerprint_ok"] else "MISMATCH"
+        status = ("ok" if check["fingerprint_ok"]
+                  else "MISMATCH" if check["restored_from"] == check["cycle"]
+                  else "NOT RESTORED")
         console(f"  rung {check['rung']:>3} @ cycle {check['cycle']:>8} "
                 f"{status}")
     verdict = "deterministic" if outcome["ok"] else "NON-DETERMINISTIC"
@@ -549,7 +551,7 @@ def _job_spec_from_args(args):
         budget=args.budget, seed=args.seed, n_threads=args.val_threads,
         fases_per_thread=args.val_fases, log_mode=args.log_mode,
         shrink=False, snapshot_rungs=args.snapshot_rungs or 16,
-        batch=args.batch or 10, name=args.job_name)
+        batch=args.batch, name=args.job_name)
 
 
 def cmd_submit(args) -> int:
@@ -750,13 +752,12 @@ def main(argv=None) -> int:
                              "enumerated per crash cycle before falling "
                              "back to seeded stratified sampling "
                              "(default 64)")
-    parser.add_argument("--batch", type=int, default=0, metavar="N",
-                        help="validate command: cell-affine batched "
-                             "execution -- ship up to N trials per "
-                             "(cell, chunk) task and serve them from a "
-                             "resident warm system per worker (0 = "
-                             "trial-at-a-time; outcomes are identical "
-                             "either way)")
+    parser.add_argument("--batch", type=int, default=10, metavar="N",
+                        help="validate/submit commands: trials per "
+                             "(cell, chunk) task, each chunk served "
+                             "from a resident warm system per worker "
+                             "(>= 1, default 10; outcomes are identical "
+                             "for every N)")
     parser.add_argument("--service-root", default=None, metavar="DIR",
                         help="serve command: durable job store "
                              "directory (default <tmpdir>/repro-"

@@ -463,95 +463,6 @@ def execute_spec(spec: RunSpec, tracer=None, metrics=None) -> SimResult:
     return build_spec_system(spec, tracer=tracer, metrics=metrics).run()
 
 
-# ------------------------------------------------------ warm-start forks
-
-
-#: Config fields that shape captured state (counts, capacities,
-#: geometries).  A snapshot only restores into a system whose config
-#: agrees on all of these; the remaining (timing) fields are free to
-#: vary, which is what makes warm-start forking across latency sweeps
-#: possible.
-STRUCTURAL_FIELDS = (
-    "n_cores", "store_queue_entries", "issue_width", "mlp_misses",
-    "l1_size_bytes", "l1_ways", "l2_size_bytes", "l2_ways",
-    "pmc_read_queue", "pmc_write_queue", "pmc_banks", "pmc_write_banks",
-    "spec_buffer_entries", "n_pm_controllers", "ordered_noc",
-    "persist_path_lanes", "hops_bloom_bits", "hops_bloom_hashes",
-    "hops_persist_buffer_entries", "dpo_persist_buffer_entries",
-)
-
-
-def structural_mismatches(base: SystemConfig,
-                          variant: SystemConfig) -> List[str]:
-    """Structural fields on which the two configs disagree."""
-    return [name for name in STRUCTURAL_FIELDS
-            if getattr(base, name) != getattr(variant, name)]
-
-
-def fork_warm_starts(base: RunSpec, variants: Sequence[RunSpec],
-                     snapshot_every: int, rung_index: int = 0
-                     ) -> Tuple[SimResult, List[SimResult]]:
-    """Run ``base`` once with an in-memory snapshot ladder, then fork
-    each variant from the chosen rung and simulate only the tail.
-
-    Every variant must share the base's program identity (benchmark,
-    design, threads, FASE count, seed, log mode) and structural config
-    fields; timing fields (latencies, frequencies) are free to differ --
-    the restored state is purely dynamic, so the variant's tail runs
-    under the variant's latencies.  The result is a *warm-start
-    approximation*: the prefix up to the fork rung ran under the base
-    config.  Use it for sweep exploration (ranking, trend-spotting), and
-    re-run the interesting cells cold for publishable numbers.
-
-    Returns ``(base_result, variant_results)`` in variant order.
-    """
-    from ..snapshot import SnapshotError, SnapshotLadder
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1 for warm forks")
-    base_config = base.resolved_config()
-    for variant in variants:
-        for field_name in ("benchmark", "design", "n_threads", "seed",
-                           "log_mode", "recovery_mode"):
-            if getattr(variant, field_name) != getattr(base, field_name):
-                raise SnapshotError(
-                    f"warm fork {variant.describe()} changes "
-                    f"{field_name}; forks may only vary timing fields")
-        if variant.resolved_fases() != base.resolved_fases():
-            raise SnapshotError(
-                f"warm fork {variant.describe()} changes fases_per_thread")
-        mismatches = structural_mismatches(base_config,
-                                           variant.resolved_config())
-        if mismatches:
-            raise SnapshotError(
-                f"warm fork {variant.describe()} changes structural "
-                f"config fields {mismatches}; snapshots only restore "
-                f"across timing changes")
-
-    base_system = build_spec_system(base)
-    ladder = SnapshotLadder(base_system, snapshot_every,
-                            keep_in_memory=True).install()
-    base_result = base_system.run()
-    if not ladder.rungs:
-        raise SnapshotError(
-            f"base run {base.describe()} captured no rungs (interval "
-            f"{snapshot_every} longer than the run?); nothing to fork")
-    rung = ladder.rungs[rung_index]
-
-    results: List[SimResult] = []
-    for variant in variants:
-        system = build_spec_system(variant)
-        SnapshotLadder(system, snapshot_every, capture=False).install()
-        system.restore_state(rung["payload"])
-        done = system.launch()
-        system.advance(stop_event=done)
-        system.advance()
-        result = system.result()
-        result.stats["warm_fork"] = {"rung_cycle": rung["cycle"],
-                                     "rung": rung["rung"]}
-        results.append(result)
-    return base_result, results
-
-
 # Worker-side alias (kept for pickling stability and old imports).
 _execute_spec = execute_spec
 

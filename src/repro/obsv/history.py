@@ -1,7 +1,7 @@
 """Cross-run bench history: trend reports over ``BENCH_*.json`` runs.
 
 The repo's benchmark gates (``benchmarks/bench_engine.py --check``,
-``BENCH_snapshot.json``) each freeze ONE payload; regressions show up
+``BENCH_campaign.json``) each freeze ONE payload; regressions show up
 only as a binary pass/fail against that single baseline.  This module
 turns a *directory of* bench payloads -- e.g. CI artifacts collected
 over time, one timestamped copy per run -- into per-metric trend

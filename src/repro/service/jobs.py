@@ -145,6 +145,9 @@ class JobSpec:
         if not workloads or not designs:
             raise JobError("campaign job needs non-empty workloads "
                            "and designs lists")
+        if self.params.get("batch", 10) < 1:
+            raise JobError("campaign batch must be >= 1 (trials per "
+                           "chunk)")
         for workload in workloads:
             for design in designs:
                 # TrialSpec.__post_init__ is the existing name check.

@@ -8,8 +8,8 @@ forfeiting the job.  This pool keeps scheduling in the parent:
 
 * each worker owns a deque of tasks, seeded **cell-affine** -- tasks
   sharing an affinity key land on the same worker in submission order,
-  so a worker can keep that cell's simulated system resident across
-  its chunks (the PR 7 ``_ResidentCell`` tier keeps paying off);
+  so a worker can keep that cell's :class:`repro.validation.Cell`
+  resident across its chunks;
 * a worker that drains its own deque *steals from the tail* of the
   longest remaining deque (tail = the coldest chunks, so affinity
   is sacrificed last), narrated as a ``steal`` event;
@@ -34,7 +34,7 @@ import collections
 import multiprocessing
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..harness.retry import SERVICE_POLICY, RetryPolicy
@@ -94,15 +94,24 @@ class TaskOutcome:
 # ---------------------------------------------------------------- workers
 
 
-def _worker_main(worker_id: int, conn, result_queue, event_queue,
-                 context_fields: Dict[str, str]) -> None:
+def _worker_main(worker_id: int, conn, parent_end, result_queue,
+                 event_queue, context_fields: Dict[str, str]) -> None:
     """Worker process body: pull one task, run, push the outcome.
 
     Single-buffered by design -- the parent owns all queues and only
     sends the next task after the previous result lands, which is what
     makes parent-side stealing possible (undispatched work never sits
     in a child's private queue).
+
+    A worker exits when its pipe reports EOF, which is also how it
+    notices that the pool's owner died without shutting it down.  So
+    the forked child first closes the parent's end of its own pipe,
+    which it inherited: held open there, that end would keep
+    ``conn.recv()`` blocked forever.  A worker also inherits the parent
+    ends of the workers forked before it; those close when it exits,
+    so an orphaned pool winds down newest worker first.
     """
+    parent_end.close()
     reset_worker_signals()
     if event_queue is not None:
         set_bus(QueueEmitter(event_queue))
@@ -111,6 +120,11 @@ def _worker_main(worker_id: int, conn, result_queue, event_queue,
         try:
             message = conn.recv()
         except (EOFError, OSError):
+            # The owner is gone: nobody will read what is still queued,
+            # so do not wait at exit for it to be flushed.
+            result_queue.cancel_join_thread()
+            if event_queue is not None:
+                event_queue.cancel_join_thread()
             break
         if message is None:
             break
@@ -150,8 +164,8 @@ class _Worker:
         self.conn = parent_conn
         self.process = self.context.Process(
             target=_worker_main,
-            args=(self.worker_id, child_conn, self.result_queue,
-                  self.event_queue, current_context()),
+            args=(self.worker_id, child_conn, parent_conn,
+                  self.result_queue, self.event_queue, current_context()),
             daemon=True)
         self.process.start()
         child_conn.close()

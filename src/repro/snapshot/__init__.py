@@ -22,8 +22,7 @@ Every stateful component implements the :class:`Snapshottable` protocol
 states are plain data (ints, strings, lists, dicts) so they pickle and
 hash deterministically.  Configuration-derived values (latencies,
 capacities, geometries) are *not* captured -- they come from rebuilding
-the system from its spec -- which is also what lets warm-start sweeps
-restore a base-config snapshot into a variant-latency system.
+the system from its spec.
 """
 
 from .fingerprint import canonical_bytes, fingerprint_state
@@ -31,7 +30,6 @@ from .manager import (
     SNAPSHOT_SCHEMA_VERSION,
     SnapshotLadder,
     nearest_rung,
-    restore_nearest,
 )
 from .store import SnapshotError, SnapshotStore
 
@@ -44,7 +42,6 @@ __all__ = [
     "canonical_bytes",
     "fingerprint_state",
     "nearest_rung",
-    "restore_nearest",
 ]
 
 

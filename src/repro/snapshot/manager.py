@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..obsv.bus import get_bus
-from .store import SnapshotError, SnapshotStore
+from .store import SnapshotStore
 
 SNAPSHOT_SCHEMA_VERSION = 1
 
@@ -195,29 +195,3 @@ class SnapshotLadder:
         self.rungs_abandoned = state["rungs_abandoned"]
         self._requested = False
         self._parked = {}
-
-
-def restore_nearest(system, store: SnapshotStore, index_name: str,
-                    crash_cycle: int) -> Optional[Dict]:
-    """Restore ``system`` from the nearest stored rung <= ``crash_cycle``.
-
-    Returns the rung dict on success, None when no usable rung exists.
-    Raises :class:`SnapshotError` on a corrupt/unreadable store -- the
-    caller decides whether that is fatal or a cold-start fallback.
-    """
-    rungs = store.load_index(index_name)
-    rung = nearest_rung(rungs, crash_cycle)
-    if rung is None:
-        return None
-    payload = store.get(rung["key"])
-    system.restore_state(payload)
-    bus = get_bus()
-    if bus.enabled:
-        # How deep a warm start got: the distance crash_cycle -
-        # rung_cycle is the tail each trial still has to simulate.
-        # ``source`` says where the payload came from: here always the
-        # store (the resident path emits "resident"/"cold" itself).
-        bus.emit("snapshot_restore", crash_cycle=crash_cycle,
-                 rung_cycle=rung["cycle"], rung=rung["rung"],
-                 source="store")
-    return rung

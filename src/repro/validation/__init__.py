@@ -4,6 +4,7 @@ persist-order oracle (see ``docs/VALIDATION.md``)."""
 from .campaign import (
     CAMPAIGN_SCHEMA_VERSION,
     CampaignReport,
+    Cell,
     TrialSpec,
     profile_cell,
     run_campaign,
@@ -53,7 +54,7 @@ from .planners import (
 from .shrink import ShrinkResult, shrink_crash_cycle
 
 __all__ = [
-    "AdaptivePlanner", "CAMPAIGN_SCHEMA_VERSION", "CampaignReport",
+    "AdaptivePlanner", "CAMPAIGN_SCHEMA_VERSION", "CampaignReport", "Cell",
     "DEFAULT_FAULTS", "ExhaustivePlanner", "FASE_ATOMICITY",
     "FAULT_NAMES", "FaultModel", "HistoryEvent", "INTRA_THREAD_ORDER",
     "PLANNER_NAMES", "PersistDelayFault", "PersistOrderOracle",

@@ -6,9 +6,11 @@ outcome twice: the workload's own ``validate_recovered`` structural
 check on the recovered data image, and the :class:`PersistOrderOracle`
 on the run's trace-event history truncated at the crash horizon.  A
 *campaign* is a planned set of trials per ``workload x design`` cell,
-fanned out through :meth:`ParallelExecutor.map`, with every failing
-cell shrunk to a minimal reproducing crash cycle and everything
-summarised in a versioned :class:`CampaignReport`.
+fanned out in cell-affine chunks through
+:meth:`ParallelExecutor.map_batched` and served by one resident
+:class:`Cell` per cell and process, with every failing cell shrunk to a
+minimal reproducing crash cycle and everything summarised in a
+versioned :class:`CampaignReport`.
 
 Trials are pure functions of their :class:`TrialSpec` (fixed seed, no
 wall-clock inputs), which is what makes fan-out order irrelevant,
@@ -32,8 +34,7 @@ from ..runtime.crash import build_crash_system
 from ..runtime.recovery import run_recovery
 from ..sim.trace import TraceRecorder
 from ..snapshot import (SNAPSHOT_SCHEMA_VERSION, SnapshotError,
-                        SnapshotLadder, SnapshotStore, nearest_rung,
-                        restore_nearest)
+                        SnapshotLadder, SnapshotStore, nearest_rung)
 from ..telemetry import get_logger
 from ..workloads import BENCHMARKS, holding_programs
 from .faults import fault_by_name
@@ -90,10 +91,6 @@ class TrialSpec:
                 f"@{self.crash_cycle}")
 
 
-def _describe_spec(spec: TrialSpec) -> str:
-    return spec.describe()
-
-
 def _cell_index_name(spec: TrialSpec) -> str:
     """Stable rung-index name for a cell: every spec field except the
     crash cycle (all trials of a cell restore from the same canonical
@@ -110,10 +107,10 @@ def _cell_index_name(spec: TrialSpec) -> str:
 def _build(spec: TrialSpec, capture: bool = False,
            keep_rungs: bool = False):
     """Build the traced system for one trial, fault armed.  With a
-    non-zero ``snapshot_every`` a ladder is installed: capturing for the
-    canonical profile run, replay-only (identical parking, no capture)
-    for trials.  ``keep_rungs`` keeps each captured payload on its rung
-    dict so the campaign can seed the in-process rung cache."""
+    non-zero ``snapshot_every`` a ladder is installed: capturing for a
+    canonical run, replay-only (identical parking, no capture) for
+    trials.  ``keep_rungs`` keeps each captured payload on its rung
+    dict, for the in-process rung caches."""
     fault = fault_by_name(spec.fault)
     recorder = TraceRecorder()
     config = table3_config(n_cores=spec.n_threads,
@@ -152,42 +149,42 @@ def _oracle_for(system) -> PersistOrderOracle:
                            and overflows == 0))
 
 
-def _emit_cold_fallback(spec: TrialSpec, error: str) -> None:
+def _emit_cold_fallback(crash_cycle: int, error: str) -> None:
     """A restore that *should* have been warm degraded to a cold start:
     surface it as a structured event, not just a log line, so campaigns
     can see silent performance loss (a damaged store costs O(run) per
     trial instead of O(segment))."""
     bus = get_bus()
     if bus.enabled:
-        bus.emit("snapshot_restore", crash_cycle=spec.crash_cycle,
+        bus.emit("snapshot_restore", crash_cycle=crash_cycle,
                  rung_cycle=None, rung=None, outcome="cold_fallback",
                  error=error)
 
 
-def _execute_trial(spec: TrialSpec, workload, system, fault, recorder,
-                   restored_from: Optional[int],
-                   history_prefix: Optional[Tuple[int, list]] = None
-                   ) -> Dict:
-    """The trial body shared by the cold path (:func:`run_trial`) and
-    the resident path (:class:`_ResidentCell`): run to the crash, cut,
-    recover, judge.  The system arrives built (or restored), traced,
-    and fault-armed.  ``history_prefix`` is the resident path's
-    (event count, converted history) of the restored prefix, so only
-    the trial's own tail pays conversion."""
-    env = system.env
-    all_done = system.launch()
-    system.advance(until=spec.crash_cycle, stop_event=all_done)
-    if env.now < spec.crash_cycle:
+def _cut(system, fault, crash_cycle: int, done) -> None:
+    """Advance a launched system to ``crash_cycle`` and apply the
+    fault's cut there."""
+    system.advance(until=crash_cycle, stop_event=done)
+    if system.env.now < crash_cycle:
         # Cores finished early: power stays on, so the persistence
         # drain proceeds until the planned cut.
-        system.advance(until=spec.crash_cycle)
-    fault.at_crash(system, spec.crash_cycle)
+        system.advance(until=crash_cycle)
+    fault.at_crash(system, crash_cycle)
+
+
+def _judge(spec: TrialSpec, workload, system, fault, done,
+           history: Callable[[int], list],
+           restored_from: Optional[int]) -> Dict:
+    """The trial body after the cut, shared by the cold reference
+    (:func:`run_trial`) and :meth:`Cell.run_trial`: carry a virtual
+    fault's run to completion, recover, judge.  ``history`` maps the
+    crash horizon to the trial's oracle history."""
     if fault.run_to_completion:
         # Virtual failures leave the machine on: the runtime's
         # abort/retry recovery must carry the run to a clean finish.
-        system.advance(stop_event=all_done)
+        system.advance(stop_event=done)
         system.advance()
-    horizon = env.now
+    horizon = system.env.now
     commits = system.runtime.total_commits
 
     snapshot = system.persisted_snapshot()
@@ -198,14 +195,9 @@ def _execute_trial(spec: TrialSpec, workload, system, fault, recorder,
         {"kind": "structural", "cycle": spec.crash_cycle,
          "subject": workload.name, "detail": message}
         for message in workload.validate_recovered(report.data_image())]
-
-    if history_prefix is not None:
-        count, prefix = history_prefix
-        history = prefix + events_to_history(recorder.events(count))
-    else:
-        history = history_from_recorder(recorder)
-    history = truncate_history(history, horizon)
-    violations.extend(v.to_dict() for v in _oracle_for(system).check(history))
+    trial_history = history(horizon)
+    violations.extend(v.to_dict()
+                      for v in _oracle_for(system).check(trial_history))
 
     return {
         "spec": asdict(spec),
@@ -213,7 +205,7 @@ def _execute_trial(spec: TrialSpec, workload, system, fault, recorder,
         "horizon": horizon,
         "commits_before_crash": commits,
         "rolled_back_threads": report.rolled_back_threads,
-        "history_events": len(history),
+        "history_events": len(trial_history),
         "fault_notes": fault_notes,
         "violations": violations,
         "consistent": not violations,
@@ -222,46 +214,40 @@ def _execute_trial(spec: TrialSpec, workload, system, fault, recorder,
 
 
 def run_trial(spec: TrialSpec) -> Dict:
-    """Execute one trial; returns a JSON-ready outcome dict.
+    """Execute one trial cold; returns a JSON-ready outcome dict.
 
-    Module-level (not a closure) so :meth:`ParallelExecutor.map` can
-    ship it to pool workers.
+    The reference every warm path is checked against: a freshly built
+    system simulated from cycle 0 (``snapshot_dir`` is ignored, so
+    ``restored_from_cycle`` is always None).  Campaigns reach crash
+    cycles through :class:`Cell` and fall back to this only when a
+    cell cannot be served.
     """
-    workload, system, fault, recorder, ladder = _build(spec)
-    restored_from = None
-    if ladder is not None and ladder.store is not None:
-        try:
-            rung = restore_nearest(system, ladder.store,
-                                   ladder.index_name, spec.crash_cycle)
-        except SnapshotError as exc:
-            # A corrupt or missing store degrades to a cold start: the
-            # trial's outcome must not depend on cache health.
-            log.warning("snapshot restore failed (%s); starting cold", exc)
-            _emit_cold_fallback(spec, str(exc))
-            rung = None
-        if rung is not None:
-            restored_from = rung["cycle"]
-    return _execute_trial(spec, workload, system, fault, recorder,
-                          restored_from)
+    workload, system, fault, recorder, _ladder = _build(spec)
+    done = system.launch()
+    _cut(system, fault, spec.crash_cycle, done)
+    return _judge(spec, workload, system, fault, done,
+                  lambda horizon: truncate_history(
+                      history_from_recorder(recorder), horizon),
+                  restored_from=None)
 
 
-# ------------------------------------------------- resident batch path
+# ---------------------------------------------------------- crash cells
 
 
-#: Rung payloads held deserialised per resident cell (each is one full
-#: machine state, a few hundred KiB for campaign-sized runs).
+#: Rung payloads held deserialised per cell (each is one full machine
+#: state, a few hundred KiB for campaign-sized runs).
 _RESIDENT_RUNG_CAP = 64
-#: Cells held resident per worker process.  Campaign chunks are
-#: cell-affine, so a worker rarely juggles more than a couple.
+#: Cells held resident per process.  Campaign chunks are cell-affine,
+#: so a worker rarely juggles more than a couple.
 _RESIDENT_CELL_CAP = 4
 
-_RESIDENT_CELLS: "OrderedDict[Tuple[str, Optional[str]], _ResidentCell]" \
-    = OrderedDict()
+_RESIDENT_CELLS: "OrderedDict[Tuple[str, Optional[str]], Cell]" = \
+    OrderedDict()
 
-#: Rung payloads seeded straight from the canonical profile run's
-#: captures (batch mode only): (snapshot_dir, object key) -> payload.
-#: A batched campaign whose trials run in the process that profiled
-#: never re-reads a rung it just wrote -- no disk read, no unpickle.
+#: Rung payloads seeded straight from a canonical profile run's
+#: captures: (snapshot_dir, object key) -> payload.  A campaign whose
+#: trials run in the process that profiled never re-reads a rung it
+#: just wrote -- no disk read, no unpickle.
 _CAPTURED_PAYLOADS: "OrderedDict[Tuple[Optional[str], str], Dict]" = \
     OrderedDict()
 _CAPTURED_PAYLOAD_CAP = _RESIDENT_RUNG_CAP * _RESIDENT_CELL_CAP
@@ -273,11 +259,11 @@ def _private_copy(value):
 
     Component ``capture_state`` implementations build fresh containers,
     but that is convention, not contract -- the skeleton copy makes a
-    seeded payload safe even against a capture that returns a live dict
-    or list the canonical run later mutates.  Tuples are shared because
-    the only captured tuples wrapping mutables are trace event rows,
-    whose ``args`` dicts are never written after recording (the same
-    sharing ``TraceRecorder.restore_state`` itself relies on).
+    kept payload safe even against a capture that returns a live dict
+    or list the run later mutates.  Tuples are shared because the only
+    captured tuples wrapping mutables are trace event rows, whose
+    ``args`` dicts are never written after recording (the same sharing
+    ``TraceRecorder.restore_state`` itself relies on).
     """
     kind = type(value)
     if kind is dict:
@@ -285,6 +271,30 @@ def _private_copy(value):
     if kind is list:
         return [_private_copy(item) for item in value]
     return value
+
+
+def _pre_tuple_events(payload: Dict) -> Dict:
+    """Convert trace event rows to tuples once, at cache-admission time.
+
+    ``Trace.restore_state`` re-tuples every event row on each restore;
+    ``tuple()`` of a tuple returns the same object, so a payload that is
+    restored many times (the whole point of a resident cell) pays the
+    per-row copy only once.  Safe to do in place: cached payloads are
+    private to the cell machinery (``SnapshotStore.get`` unpickles a
+    fresh object per call; kept payloads are skeleton-copied at
+    admission) and the canonical fingerprint encodes tuples and lists
+    identically.
+    """
+    for state in payload.get("components", {}).values():
+        if isinstance(state, dict):
+            events = state.get("events")
+            if events:
+                state["events"] = [tuple(item) for item in events]
+    return payload
+
+
+def _kept_payload(payload: Dict) -> Dict:
+    return _pre_tuple_events(_private_copy(payload))
 
 
 def _seed_captured_rungs(spec: TrialSpec, ladder) -> None:
@@ -297,171 +307,181 @@ def _seed_captured_rungs(spec: TrialSpec, ladder) -> None:
         if payload is None or "key" not in rung:
             continue
         _CAPTURED_PAYLOADS[(spec.snapshot_dir, rung["key"])] = \
-            _pre_tuple_events(_private_copy(payload))
+            _kept_payload(payload)
     while len(_CAPTURED_PAYLOADS) > _CAPTURED_PAYLOAD_CAP:
         _CAPTURED_PAYLOADS.popitem(last=False)
 
 
-def _pre_tuple_events(payload: Dict) -> Dict:
-    """Convert trace event rows to tuples once, at cache-admission time.
+class Cell:
+    """One crash cell kept resident in this process: the one way to get
+    a machine to a crash cycle.
 
-    ``Trace.restore_state`` re-tuples every event row on each restore;
-    ``tuple()`` of a tuple returns the same object, so a payload that is
-    restored many times (the whole point of a resident cell) pays the
-    per-row copy only once.  Safe to do in place: cached payloads are
-    private to the campaign machinery (``SnapshotStore.get`` unpickles a
-    fresh object per call; seeded payloads are skeleton-copied at
-    admission) and the canonical fingerprint encodes tuples and lists
-    identically.
-    """
-    for state in payload.get("components", {}).values():
-        if isinstance(state, dict):
-            events = state.get("events")
-            if events:
-                state["events"] = [tuple(item) for item in events]
-    return payload
+    Built once per cell: the traced system, its cycle-0 payload, a rung
+    source, an LRU of deserialised rung payloads, and the oracle-history
+    prefix of the last restored rung.  :meth:`acquire` arms a fresh
+    fault, restores the nearest rung at or before the crash cycle (the cycle-0
+    payload when there is none), and advances to the cut -- no rebuild,
+    and no disk read or unpickle for a hot rung.  Restoring into the one
+    resident system is safe because restore fully resets every
+    component (what ``tests/snapshot/test_restore_equivalence.py``
+    proves) and payload containers are copied on restore, never aliased.
 
+    The rung source is one of:
 
-class _ResidentCell:
-    """One campaign cell kept resident in the worker process.
-
-    Built once per (cell, worker): the traced system, its pristine
-    cycle-0 payload, the cell's rung index, and an in-memory LRU of
-    *deserialised* rung payloads.  Each trial is then served by
-    ``restore_state`` into the resident system -- no rebuild, no disk
-    read, no unpickle for a hot rung -- which is safe because restore
-    fully resets every component (the same invariant the PR 4
-    restore-equivalence suite proves) and payload containers are always
-    copied on restore, never aliased.
-
-    Trial recipe mirrors :func:`run_trial` exactly: arm a fresh fault,
-    then restore (rung payload when one is at or before the crash
-    cycle, the cycle-0 payload otherwise), then the shared
-    :func:`_execute_trial` body.  Any snapshot damage degrades to the
-    cycle-0 restore -- the same cold-start semantics as the trial-at-a-
-    time path, with the same warning + ``cold_fallback`` event.
+    * ``Cell(spec)``: the cell's on-disk rung index, with payloads taken
+      first from this process's LRU, then from what a profiling run in
+      this process seeded (:func:`profile_cell_seeding`), then from the
+      store.  Any snapshot damage degrades to the cycle-0 restore with a
+      warning and a ``cold_fallback`` event -- outcomes never depend on
+      cache health.  Campaign trials, shrinking and
+      :func:`verify_cell` use it.
+    * ``Cell(spec, canonical=True)``: the in-memory ladder of the
+      cell's own canonical run, with PM-device history recording on --
+      the crash-states checker's source.  ``restore=False`` keeps that
+      ladder's timing universe but starts every acquire from cycle 0.
     """
 
-    def __init__(self, spec: TrialSpec):
+    def __init__(self, spec: TrialSpec, canonical: bool = False,
+                 restore: bool = True):
+        started = time.perf_counter()
+        self.spec = replace(spec, crash_cycle=0)
+        if canonical:
+            self.spec = replace(self.spec, snapshot_dir=None)
+        self.restore = restore
         self.workload, self.system, _fault, self.recorder, ladder = \
-            _build(spec)
-        # Pre-launch the heap is empty and no generator is live, so the
-        # pristine capture is legal and exact.
-        self.initial = _pre_tuple_events(self.system.capture_state())
+            _build(self.spec, capture=canonical, keep_rungs=canonical)
         self.store = ladder.store if ladder is not None else None
         self.index_name = ladder.index_name if ladder is not None else None
         self._rungs: Optional[List[Dict]] = None
-        self._index_error: Optional[str] = None
-        self._payloads: "OrderedDict[str, dict]" = OrderedDict()
-        # key -> (n_prefix_events, converted HistoryEvents): the oracle
-        # history of a rung's event prefix, computed once per rung.
-        # HistoryEvent is frozen, so sharing one prefix list across
-        # trials is safe; concatenation is exact because
-        # events_to_history is a stateless per-event map.
-        self._history_prefixes: "OrderedDict[object, tuple]" = \
-            OrderedDict()
-        self.trials_served = 0
-        self.sources: Dict[str, int] = {"resident": 0, "store": 0,
-                                        "cold": 0}
+        self._payloads: "OrderedDict[str, Dict]" = OrderedDict()
+        # (restored cycle, n_prefix_events, converted HistoryEvents):
+        # the oracle history of the last restored rung's event prefix.
+        # Planners hand out crash cycles in ascending order, so
+        # consecutive acquisitions mostly share a rung and convert its
+        # prefix once.  HistoryEvent is frozen, so sharing one prefix
+        # list across acquisitions is safe; concatenation is exact
+        # because events_to_history is a stateless per-event map.
+        self._prefix: Tuple[Optional[int], int, list] = (None, 0, [])
+        self.total_cycles: Optional[int] = None
+        # Pre-launch the heap is empty and no generator is live, so the
+        # pristine capture is legal and exact.
+        self.initial = _kept_payload(self.system.capture_state())
+        if canonical:
+            # The device history is the crash-states enumerator's
+            # input; the flag is not part of captured state, so it
+            # survives every restore.
+            self.system.device.record_history = True
+            self.initial_image = dict(self.system.device.snapshot())
+            self.total_cycles = self.system.run().cycles
+            self._rungs = [{**rung, "payload": _kept_payload(rung["payload"])}
+                           for rung in (ladder.rungs if ladder else [])
+                           if "payload" in rung]
+        self.canonical_s = time.perf_counter() - started
+
+    # ----------------------------------------------------------- rungs
 
     def _rung_index(self) -> List[Dict]:
-        if self._rungs is None and self._index_error is None:
-            try:
-                self._rungs = self.store.load_index(self.index_name)
-            except SnapshotError as exc:
-                # Remember the failure: every trial of the batch falls
-                # back cold with the same warning the cold path logs.
-                self._index_error = str(exc)
-        return self._rungs or []
+        if self._rungs is None:
+            self._rungs = (self.store.load_index(self.index_name)
+                           if self.store is not None else [])
+        return self._rungs
 
-    def _restore_payload(self, spec: TrialSpec
-                         ) -> Tuple[Optional[Dict], str]:
-        """(rung, source) for this trial's warm start; (None, "cold")
-        when the trial must start from cycle 0."""
-        if self.store is None:
-            return None, "cold"
-        rungs = self._rung_index()
-        if self._index_error is not None:
-            log.warning("snapshot restore failed (%s); starting cold",
-                        self._index_error)
-            _emit_cold_fallback(spec, self._index_error)
-            return None, "cold"
-        rung = nearest_rung(rungs, spec.crash_cycle)
-        if rung is None:
-            return None, "cold"
+    def _payload(self, rung: Dict) -> Tuple[Dict, str]:
+        """(payload, source) for a rung of the index."""
+        if "payload" in rung:
+            return rung["payload"], "resident"
         key = rung["key"]
         payload = self._payloads.get(key)
         if payload is not None:
             self._payloads.move_to_end(key)
-            return {**rung, "payload": payload}, "resident"
+            return payload, "resident"
         # First touch: prefer the payload the profiling run seeded in
         # this very process (zero re-read) over the store round trip.
-        payload = _CAPTURED_PAYLOADS.get((spec.snapshot_dir, key))
-        if payload is not None:
-            source = "resident"
-        else:
-            try:
-                payload = self.store.get(key)
-            except SnapshotError as exc:
-                log.warning("snapshot restore failed (%s); starting cold",
-                            exc)
-                _emit_cold_fallback(spec, str(exc))
-                return None, "cold"
-            payload = _pre_tuple_events(payload)
+        payload = _CAPTURED_PAYLOADS.get((self.spec.snapshot_dir, key))
+        source = "resident"
+        if payload is None:
+            payload = _pre_tuple_events(self.store.get(key))
             source = "store"
         self._payloads[key] = payload
         while len(self._payloads) > _RESIDENT_RUNG_CAP:
             self._payloads.popitem(last=False)
-        return {**rung, "payload": payload}, source
+        return payload, source
 
-    def _history_prefix(self, key) -> Tuple[int, list]:
-        """(event count, converted history) of the just-restored prefix."""
-        prefix = self._history_prefixes.get(key)
-        count = len(self.recorder)
-        if prefix is not None and prefix[0] == count:
-            self._history_prefixes.move_to_end(key)
-            return prefix
-        prefix = (count, events_to_history(self.recorder.events()))
-        self._history_prefixes[key] = prefix
-        while len(self._history_prefixes) > _RESIDENT_RUNG_CAP + 1:
-            self._history_prefixes.popitem(last=False)
-        return prefix
+    def _nearest(self, cycle: int) -> Tuple[Optional[Dict], Dict, str]:
+        """(rung, payload, source) to restore for ``cycle``; the rung is
+        None when the restore starts from cycle 0."""
+        if self.restore:
+            try:
+                rung = nearest_rung(self._rung_index(), cycle)
+                if rung is not None:
+                    return (rung, *self._payload(rung))
+            except SnapshotError as exc:
+                log.warning("snapshot restore failed (%s); starting cold",
+                            exc)
+                _emit_cold_fallback(cycle, str(exc))
+        return None, self.initial, "cold"
 
-    def run_trial(self, spec: TrialSpec) -> Dict:
-        # Same order as _build + restore_nearest: arm, then restore.
-        fault = fault_by_name(spec.fault)
+    # --------------------------------------------------------- acquire
+
+    def launch(self, cycle: int):
+        """Arm a fresh fault, restore the nearest rung at or before
+        ``cycle`` (cycle 0 without one), and launch the cores.  Returns
+        ``(fault, restored_from, done)``: the armed fault, the restored
+        rung's cycle (None from cycle 0), and the all-done event."""
+        fault = fault_by_name(self.spec.fault)
         fault.arm(self.system)
-        rung, source = self._restore_payload(spec)
-        restored_from = None
-        if rung is not None:
-            self.system.restore_state(rung["payload"])
-            restored_from = rung["cycle"]
-        else:
-            self.system.restore_state(self.initial)
+        rung, payload, source = self._nearest(cycle)
+        self.system.restore_state(payload)
+        restored_from = rung["cycle"] if rung is not None else None
         bus = get_bus()
         if bus.enabled:
-            bus.emit("snapshot_restore", crash_cycle=spec.crash_cycle,
+            bus.emit("snapshot_restore", crash_cycle=cycle,
                      rung_cycle=restored_from,
                      rung=rung["rung"] if rung is not None else None,
                      source=source)
-        self.sources[source] += 1
-        self.trials_served += 1
-        prefix = self._history_prefix(
-            rung["key"] if rung is not None else None)
-        return _execute_trial(spec, self.workload, self.system, fault,
-                              self.recorder, restored_from,
-                              history_prefix=prefix)
+        count = len(self.recorder)
+        if self._prefix[:2] != (restored_from, count):
+            self._prefix = (restored_from, count,
+                            events_to_history(self.recorder.events()))
+        return fault, restored_from, self.system.launch()
+
+    def acquire(self, crash_cycle: int):
+        """:meth:`launch` for ``crash_cycle`` and advance to the cut;
+        returns ``(fault, restored_from, done)`` with the system
+        positioned exactly at a trial's cut point."""
+        fault, restored_from, done = self.launch(crash_cycle)
+        _cut(self.system, fault, crash_cycle, done)
+        return fault, restored_from, done
+
+    def history(self, horizon: int) -> list:
+        """The oracle history of the current acquisition, truncated at
+        ``horizon``."""
+        _restored_from, count, prefix = self._prefix
+        return truncate_history(
+            prefix + events_to_history(self.recorder.events(count)),
+            horizon)
+
+    def oracle(self) -> PersistOrderOracle:
+        """The persist-order oracle for this cell's design."""
+        return _oracle_for(self.system)
+
+    def run_trial(self, spec: TrialSpec) -> Dict:
+        """One campaign trial of this cell; equals :func:`run_trial`
+        of ``spec`` except for ``restored_from_cycle``."""
+        fault, restored_from, done = self.acquire(spec.crash_cycle)
+        return _judge(spec, self.workload, self.system, fault, done,
+                      self.history, restored_from)
 
 
 def _resident_key(spec: TrialSpec) -> Tuple[str, Optional[str]]:
     return _cell_index_name(spec), spec.snapshot_dir
 
 
-def _resident_cell(spec: TrialSpec) -> _ResidentCell:
+def _resident_cell(spec: TrialSpec) -> Cell:
     key = _resident_key(spec)
     cell = _RESIDENT_CELLS.get(key)
     if cell is None:
-        cell = _ResidentCell(spec)
+        cell = Cell(spec)
         _RESIDENT_CELLS[key] = cell
         while len(_RESIDENT_CELLS) > _RESIDENT_CELL_CAP:
             _RESIDENT_CELLS.popitem(last=False)
@@ -476,9 +496,9 @@ def run_trial_batch(specs: Sequence[TrialSpec]) -> List[Dict]:
     Module-level so :meth:`ParallelExecutor.map_batched` can ship it to
     pool workers; the resident cache is per process, so a worker that
     receives several chunks of one cell builds its system exactly once.
-    Any :class:`SnapshotError` the resident machinery itself cannot
-    absorb evicts the cell and re-runs that trial through the plain
-    cold path -- outcomes never depend on cache health.
+    Any :class:`SnapshotError` the cell itself cannot absorb evicts the
+    cell and re-runs that trial through the cold :func:`run_trial` --
+    outcomes never depend on cache health.
     """
     outcomes: List[Dict] = []
     for spec in specs:
@@ -555,10 +575,10 @@ def verify_cell(spec: TrialSpec) -> Dict:
     """The standing determinism check for one cell's stored ladder.
 
     Runs the cell cold (laddered, no capture) to get the reference
-    end-of-run fingerprint, then restores *every* stored rung into a
-    fresh system and replays the tail; each replay must land on the
-    reference fingerprint exactly.  Returns ``{"reference", "checks",
-    "ok"}`` with one check dict per rung.
+    end-of-run fingerprint, then restores *every* stored rung through
+    one :class:`Cell` and replays the tail; each replay must start from
+    its rung and land on the reference fingerprint exactly.  Returns
+    ``{"reference", "checks", "ok"}`` with one check dict per rung.
     """
     if not (spec.snapshot_every and spec.snapshot_dir):
         raise ValueError("snapshot verify needs snapshot_every > 0 "
@@ -568,16 +588,18 @@ def verify_cell(spec: TrialSpec) -> Dict:
     _workload, system, _fault, _recorder, _ladder = _build(spec)
     system.run()
     reference = system.state_fingerprint()
+    cell = Cell(spec)
     checks = []
     for rung in index:
-        _workload, system, _fault, _recorder, _ladder = _build(spec)
-        system.restore_state(store.get(rung["key"]))
-        done = system.launch()
-        system.advance(stop_event=done)
-        system.advance()
+        _fault, restored_from, done = cell.launch(rung["cycle"])
+        cell.system.advance(stop_event=done)
+        cell.system.advance()
         checks.append({"rung": rung["rung"], "cycle": rung["cycle"],
+                       "restored_from": restored_from,
                        "fingerprint_ok":
-                           system.state_fingerprint() == reference})
+                           restored_from == rung["cycle"]
+                           and cell.system.state_fingerprint()
+                           == reference})
     return {"reference": reference, "checks": checks,
             "ok": bool(checks) and all(c["fingerprint_ok"]
                                        for c in checks)}
@@ -733,7 +755,7 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
                  snapshot_dir: Optional[str] = None,
                  snapshot_every: int = 0,
                  snapshot_rungs: int = 0,
-                 batch: int = 0,
+                 batch: int = 10,
                  crash_states: bool = False,
                  image_budget: int = 64) -> CampaignReport:
     """Run a full campaign over the ``workloads x designs`` grid.
@@ -764,16 +786,19 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
     ``crash_states`` section; :attr:`CampaignReport.crash_states_ok`
     gates on them.
 
-    ``batch > 0`` turns on cell-affine batched execution: trials ship
-    as chunks of up to ``batch`` specs per (cell, chunk) task through
+    Trials run cell-affine: they ship as chunks of up to ``batch``
+    specs per (cell, chunk) task through
     :meth:`ParallelExecutor.map_batched` (or run through
     :func:`run_trial_batch` in-process when there is no executor), and
-    workers serve each chunk from a resident system instead of
-    rebuilding per trial; the profiling/probe passes fan out over
-    cells through the executor too.  Outcomes are byte-identical to
-    the trial-at-a-time path -- batching changes only where the work
-    runs and what it costs.
+    each process serves a chunk from its resident :class:`Cell` instead
+    of rebuilding per trial; the profiling/probe passes fan out over
+    cells through the executor too.  ``batch`` is only a chunk size
+    (``>= 1``): outcomes equal the cold :func:`run_trial` of every
+    trial, whatever the chunking.
     """
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1 (trials per chunk), "
+                         f"got {batch}")
     started = time.perf_counter()
     planner_obj = planner_by_name(planner)
     bus = get_bus()
@@ -799,19 +824,18 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
                          snapshot_dir=snapshot_dir)
 
     def profile_cells(specs: List[TrialSpec]) -> List[RunProfile]:
-        """Profiles are pure functions of their spec, so in batch mode
-        the per-cell canonical runs fan out over the executor (rungs
-        land in the shared on-disk store either way).  Batch-mode
-        profiling seeds the profiling process's rung cache so trials
-        that stay in that process never re-read what it just wrote; a
-        pool worker that gets the cell without the seed falls back to
-        the store read, nothing worse."""
-        profiler = profile_cell_seeding if batch else profile_cell
-        if batch and executor is not None and len(specs) > 1:
+        """Profiles are pure functions of their spec, so the per-cell
+        canonical runs fan out over the executor (rungs land in the
+        shared on-disk store either way).  Profiling seeds the
+        profiling process's rung cache so trials that stay in that
+        process never re-read what it just wrote; a pool worker that
+        gets the cell without the seed falls back to the store read,
+        nothing worse."""
+        if executor is not None and len(specs) > 1:
             return executor.map(
-                profiler, specs,
+                profile_cell_seeding, specs,
                 describe=lambda s: f"profile {s.workload}/{s.design}")
-        return [profiler(spec) for spec in specs]
+        return [profile_cell_seeding(spec) for spec in specs]
 
     if snapshot_rungs:
         say(f"sizing ladders: ~{snapshot_rungs} rungs per cell")
@@ -824,17 +848,11 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
                 1, len(probe.persist_cycles) // snapshot_rungs)
 
     def fan_out(specs: List[TrialSpec]) -> List[Dict]:
-        if not specs:
-            return []
-        if batch:
-            if executor is not None:
-                return executor.map_batched(
-                    run_trial_batch, specs, key=_batch_key,
-                    chunk_size=batch, describe=_describe_batch)
+        if executor is None or not specs:
             return run_trial_batch(specs)
-        if executor is not None:
-            return executor.map(run_trial, specs, describe=_describe_spec)
-        return [run_trial(spec) for spec in specs]
+        return executor.map_batched(
+            run_trial_batch, specs, key=_batch_key, chunk_size=batch,
+            describe=_describe_batch)
 
     say(f"profiling {len(cells)} cells "
         f"({len(workloads)} workloads x {len(designs)} designs)")
@@ -986,7 +1004,7 @@ def _shrink_cell(base: TrialSpec, cell_failures: List[Dict], say) -> Dict:
     outcomes: Dict[int, Dict] = {earliest: cell_failures[0]}
 
     def fails(cycle: int) -> bool:
-        outcome = run_trial(replace(base, crash_cycle=cycle))
+        [outcome] = run_trial_batch([replace(base, crash_cycle=cycle)])
         outcomes[cycle] = outcome
         return not outcome["consistent"]
 

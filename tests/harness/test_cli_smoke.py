@@ -96,6 +96,22 @@ def test_cli_validate_clean_campaign(tmp_path, capsys):
     assert payload["total_trials"] > 0
 
 
+def test_cli_validate_rejects_batch_below_one(capsys):
+    """``--batch`` is a chunk size with no off mode: 0 is a user error
+    (exit 2) before any trial runs."""
+    assert main(["validate", "--budget", "2", "--benchmarks",
+                 "array_swaps", "--designs", "PMEM-Spec",
+                 "--batch", "0"]) == 2
+    assert "Crash-consistency campaign" not in capsys.readouterr().out
+
+
+def test_cli_submit_rejects_batch_below_one():
+    """The service JobSpec refuses it too, before contacting a server."""
+    assert main(["submit", "--url", "http://127.0.0.1:9",
+                 "--benchmarks", "array_swaps", "--designs",
+                 "PMEM-Spec", "--batch", "0"]) == 2
+
+
 def test_cli_validate_exits_nonzero_on_violations(capsys):
     """The torn-log fault (the deliberate-bug fixture) must gate: the
     command exits 1 and the table names the violated invariant."""

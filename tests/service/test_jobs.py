@@ -37,6 +37,10 @@ class TestJobSpec:
         with pytest.raises(ValueError):
             JobSpec.campaign(["no-such-workload"], ["PMEM-Spec"])
 
+    def test_campaign_rejects_batch_below_one(self):
+        with pytest.raises(JobError, match="batch"):
+            JobSpec.campaign(["hashmap"], ["PMEM-Spec"], batch=0)
+
     def test_sweep_requires_specs(self):
         with pytest.raises(JobError, match="non-empty"):
             JobSpec(kind="sweep", params={"specs": []})

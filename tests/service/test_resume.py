@@ -9,7 +9,8 @@ outcomes never reached the task journal (asserted via the
 ``tasks_from_journal`` / ``tasks_executed`` counters the runner writes
 into the terminal journal entry), and (c) produce a
 :class:`CampaignReport` byte-identical to an uninterrupted run modulo
-wall-clock (:func:`report_fingerprint`)."""
+wall-clock (:func:`report_fingerprint`).  The victim's pool workers
+must not outlive it: each exits within a few seconds of the SIGKILL."""
 
 import os
 import signal
@@ -46,6 +47,9 @@ EXPECTED_TASKS = 4 * (BUDGET // CHUNK) + 2 * 4
 #: Journaled outcomes to wait for before pulling the plug.
 KILL_AFTER_TASKS = 6
 
+#: How long a killed victim's pool workers may linger.
+WORKER_EXIT_S = 10.0
+
 VICTIM = """\
 import sys
 from repro.service import JobRunner, JobSpec, JobStore
@@ -72,6 +76,27 @@ def reference_fingerprint(tmp_path_factory):
     assert done.state == "done", done.detail
     assert done.detail["tasks_total"] == EXPECTED_TASKS
     return report_fingerprint(store.load_report(record.job_id))
+
+
+def _proc_stat(pid: int):
+    """(state, ppid) of a live process from /proc, or None once gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _children(pid: int):
+    return [int(entry) for entry in os.listdir("/proc")
+            if entry.isdigit()
+            and (_proc_stat(int(entry)) or ("", -1))[1] == pid]
+
+
+def _running(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] not in ("Z", "X")
 
 
 def _count_lines(path: str) -> int:
@@ -106,8 +131,20 @@ def test_kill_mid_campaign_then_resume_byte_identical(
             victim.kill()
             pytest.fail("victim never journaled enough tasks")
         time.sleep(0.02)
+    has_proc = os.path.isdir("/proc/self")
+    workers = _children(victim.pid) if has_proc else []
     victim.send_signal(signal.SIGKILL)
     victim.wait(timeout=30)
+
+    if has_proc:
+        # Orphaned workers must notice their owner is gone and exit.
+        assert workers, "victim had no pool workers at the kill"
+        deadline = time.monotonic() + WORKER_EXIT_S
+        while any(_running(pid) for pid in workers):
+            assert time.monotonic() < deadline, (
+                f"pool workers {[p for p in workers if _running(p)]} "
+                f"outlived their SIGKILLed owner")
+            time.sleep(0.05)
 
     # The kill left the journal tail at `running`; recovery re-queues.
     assert store.record(job_id).state == "running"

@@ -1,5 +1,6 @@
-"""Snapshot-accelerated campaigns: warm trials equal cold trials, and a
-damaged store degrades to a cold start instead of changing outcomes."""
+"""Snapshot-accelerated campaigns: a :class:`Cell`'s warm trials equal
+cold trials, and a damaged store degrades to a cold start instead of
+changing outcomes."""
 
 import os
 from dataclasses import replace
@@ -7,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from repro.snapshot import SnapshotStore
-from repro.validation.campaign import (TrialSpec, _cell_index_name,
+from repro.validation.campaign import (Cell, TrialSpec, _cell_index_name,
                                        profile_cell, run_trial,
                                        verify_cell)
 
@@ -35,20 +36,22 @@ class TestWarmTrialParity:
         spec, profile = warm_cell
         crash = profile.total_cycles // 2
         cold_spec = replace(spec, snapshot_dir=None, crash_cycle=crash)
-        warm = run_trial(replace(spec, crash_cycle=crash))
+        warm = Cell(spec).run_trial(replace(spec, crash_cycle=crash))
         cold = run_trial(cold_spec)
         assert warm["restored_from_cycle"] is not None
+        assert cold["restored_from_cycle"] is None
         assert _strip(warm) == _strip(cold)
 
     def test_early_crash_runs_cold(self, warm_cell):
         spec, _profile = warm_cell
-        outcome = run_trial(replace(spec, crash_cycle=1))
+        outcome = Cell(spec).run_trial(replace(spec, crash_cycle=1))
         assert outcome["restored_from_cycle"] is None
 
     def test_trial_without_store_is_cold(self, warm_cell):
         spec, profile = warm_cell
-        outcome = run_trial(replace(spec, snapshot_dir=None,
-                                    crash_cycle=profile.total_cycles // 2))
+        spec = replace(spec, snapshot_dir=None,
+                       crash_cycle=profile.total_cycles // 2)
+        outcome = Cell(spec).run_trial(spec)
         assert outcome["restored_from_cycle"] is None
 
 
@@ -60,7 +63,7 @@ class TestStoreDamageFallback:
             spec, snapshot_dir=None, crash_cycle=crash)))
         store = SnapshotStore(spec.snapshot_dir)
         os.unlink(store._index_path(_cell_index_name(spec)))
-        outcome = run_trial(replace(spec, crash_cycle=crash))
+        outcome = Cell(spec).run_trial(replace(spec, crash_cycle=crash))
         assert outcome["restored_from_cycle"] is None
         assert _strip(outcome) == reference
 
@@ -74,7 +77,7 @@ class TestStoreDamageFallback:
             path = store._object_path(rung["key"])
             with open(path, "r+b") as handle:
                 handle.truncate(16)
-        outcome = run_trial(replace(spec, crash_cycle=crash))
+        outcome = Cell(spec).run_trial(replace(spec, crash_cycle=crash))
         assert outcome["restored_from_cycle"] is None
         assert _strip(outcome) == reference
 
@@ -86,6 +89,20 @@ class TestVerifyCell:
         assert outcome["ok"]
         assert all(check["fingerprint_ok"]
                    for check in outcome["checks"])
+
+    def test_damaged_ladder_fails_verification(self, warm_cell):
+        """A rung that cannot be restored must fail its check, not pass
+        on the cycle-0 fallback's (correct) fingerprint."""
+        spec, _profile = warm_cell
+        store = SnapshotStore(spec.snapshot_dir)
+        [first, *_rest] = store.load_index(_cell_index_name(spec))
+        with open(store._object_path(first["key"]), "r+b") as handle:
+            handle.truncate(16)
+        outcome = verify_cell(spec)
+        assert not outcome["ok"]
+        check = outcome["checks"][0]
+        assert check["restored_from"] is None
+        assert not check["fingerprint_ok"]
 
     def test_verify_requires_snapshot_config(self):
         spec = TrialSpec(workload="queue", design="PMEM-Spec",

@@ -1,13 +1,14 @@
-"""Batched-vs-serial campaign equivalence (the tentpole invariant).
+"""Batched-vs-cold campaign equivalence.
 
-Cell-affine batching with resident warm systems changes *where* trials
-run and *what they cost* -- never what they produce.  This suite pins
-that down three ways: every trial dict byte-identical between
-:func:`run_trial` and :func:`run_trial_batch`, whole
-:class:`CampaignReport` JSON (minus timing/stats) byte-identical across
-``jobs=1`` / pooled trial-at-a-time / batched execution, and the
-damaged-store fixture degrading both paths to the same cold outcome
-with a structured ``cold_fallback`` event.
+Cell-affine batching with resident warm :class:`Cell` systems changes
+*where* trials run and *what they cost* -- never what they produce.
+This suite pins that down three ways: every trial dict of
+:func:`run_trial_batch` byte-identical to the cold :func:`run_trial`
+(modulo ``restored_from_cycle``), whole :class:`CampaignReport` JSON
+(minus timing/stats) byte-identical across in-process / ``jobs=1`` /
+pooled execution and chunk sizes, and the damaged-store fixture
+degrading the warm path to the cold outcome with a structured
+``cold_fallback`` event.
 """
 
 import json
@@ -18,8 +19,8 @@ import pytest
 from repro.harness import ParallelExecutor
 from repro.obsv.bus import EventBus, set_bus, validate_events
 from repro.snapshot import SnapshotStore
-from repro.validation.campaign import (TrialSpec, _CAPTURED_PAYLOADS,
-                                       _RESIDENT_CELLS,
+from repro.validation.campaign import (Cell, TrialSpec,
+                                       _CAPTURED_PAYLOADS, _RESIDENT_CELLS,
                                        _cell_index_name, profile_cell,
                                        run_campaign, run_trial,
                                        run_trial_batch)
@@ -50,6 +51,12 @@ def warm_cell(tmp_path):
     return spec, profile_cell(spec)
 
 
+def unrestored(outcomes):
+    """Trial dicts minus the provenance-only ``restored_from_cycle``."""
+    return [{k: v for k, v in outcome.items()
+             if k != "restored_from_cycle"} for outcome in outcomes]
+
+
 def canonical(report):
     """Report JSON minus timing/stats and store-location params."""
     payload = report.to_dict()
@@ -71,7 +78,10 @@ class TestTrialDictEquivalence:
         specs = [replace(spec, crash_cycle=cycle)
                  for cycle in range(1, profile.total_cycles, step)]
         specs.append(specs[len(specs) // 2])   # resident-LRU repeat
-        assert run_trial_batch(specs) == [run_trial(s) for s in specs]
+        batched = run_trial_batch(specs)
+        assert unrestored(batched) == unrestored(
+            [run_trial(s) for s in specs])
+        assert any(o["restored_from_cycle"] is not None for o in batched)
 
     def test_batch_mixed_cells(self, warm_cell, tmp_path):
         spec_a, profile = warm_cell
@@ -81,7 +91,11 @@ class TestTrialDictEquivalence:
         specs = [replace(spec_a, crash_cycle=crash),
                  replace(spec_b, crash_cycle=2000),
                  replace(spec_a, crash_cycle=crash + 1)]
-        assert run_trial_batch(specs) == [run_trial(s) for s in specs]
+        batched = run_trial_batch(specs)
+        assert unrestored(batched) == unrestored(
+            [run_trial(s) for s in specs])
+        assert [o["restored_from_cycle"] is not None
+                for o in batched] == [True, False, True]
 
     def test_no_snapshot_cell_is_served_cold(self):
         spec = TrialSpec(workload="queue", design="PMEM-Spec",
@@ -97,8 +111,8 @@ def run_modes(tmp_path, **overrides):
     kw.update(overrides)
     reports = {}
     for mode, (executor, batch) in {
-            "serial": (None, 0),
-            "pooled": (ParallelExecutor(jobs=2), 0),
+            "serial": (None, 3),
+            "chunk-1": (ParallelExecutor(jobs=1), 1),
             "batched-serial": (ParallelExecutor(jobs=1), 3),
             "batched-pool": (ParallelExecutor(jobs=2), 3)}.items():
         _RESIDENT_CELLS.clear()
@@ -126,6 +140,24 @@ class TestCampaignReportEquivalence:
             fases_per_thread=6, shrink=False,
             executor=ParallelExecutor(jobs=1), batch=2)
         assert report.params["batch"] == 2
+
+    def test_batch_below_one_rejected(self):
+        """``batch`` is a chunk size with no off mode."""
+        with pytest.raises(ValueError, match="batch"):
+            run_campaign(["queue"], ["PMEM-Spec"], budget=2, batch=0)
+
+    def test_campaign_failures_equal_cold_trials(self, tmp_path):
+        """Every failure a batched campaign reports is the cold trial of
+        its crash cycle, byte for byte (modulo restore provenance)."""
+        report = run_campaign(["hashmap"], ["PMEM-Spec", "IntelX86"],
+                              snapshot_dir=str(tmp_path), batch=3,
+                              **GRID)
+        failures = [failure for cell in report.cells
+                    for failure in cell["failures"]]
+        assert failures
+        cold = [run_trial(TrialSpec(**failure["spec"]))
+                for failure in failures]
+        assert unrestored(failures) == unrestored(cold)
 
 
 class TestDamagedStoreFallback:
@@ -156,13 +188,15 @@ class TestDamagedStoreFallback:
         seen = []
         bus.subscribe(seen.append)
         set_bus(bus)
-        run_trial(replace(spec, crash_cycle=profile.total_cycles // 2))
+        Cell(spec).run_trial(
+            replace(spec, crash_cycle=profile.total_cycles // 2))
         assert validate_events(seen) == []
-        falls = [e for e in seen if e["kind"] == "snapshot_restore"]
-        assert len(falls) == 1
-        assert falls[0]["outcome"] == "cold_fallback"
-        assert falls[0]["rung_cycle"] is None
-        assert "corrupt" in falls[0]["error"]
+        restores = [e for e in seen if e["kind"] == "snapshot_restore"]
+        # One structured fallback, then the cycle-0 restore it led to.
+        assert [e.get("outcome") or e["source"]
+                for e in restores] == ["cold_fallback", "cold"]
+        assert restores[0]["rung_cycle"] is None
+        assert "corrupt" in restores[0]["error"]
 
     def test_batched_cold_fallback_emits_event_too(self, warm_cell):
         spec, profile = warm_cell
