@@ -6,8 +6,8 @@ every core count (paper margins: 18.8%/8.2% at 16, 18.2%/8.0% at 32,
 (§8.3.1).
 
 Kept small so the bench suite stays minutes-scale; 64 cores runs via
-`python -m repro.harness fig10 --cores 64` (the 64-thread queue's
-global mutex makes it tens of minutes of single-core simulation).
+`python -m repro.harness fig10 --cores 64`, which at `--scale 0.15
+--jobs 1` and a cold cache took 10-15 s of wall time on a 2-vCPU host.
 """
 
 from repro.harness import (

@@ -33,6 +33,7 @@ flavors.
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
+from weakref import ref
 
 from ..isa import (
     Clwb,
@@ -114,13 +115,27 @@ class LoweredThread:
 
 
 class LoweredProgram:
-    __slots__ = ("program", "flavor", "threads")
+    """One program's machine-op stream for one flavor.
+
+    The program is held weakly: it memoises its lowerings, so a strong
+    back-reference would make every program and lowering a reference
+    cycle that only a full collection frees (see :func:`lower_program`).
+    Whoever simulates a lowering holds its program."""
+
+    __slots__ = ("_program", "flavor", "threads")
 
     def __init__(self, program: Program, flavor: str,
                  threads: List[LoweredThread]):
-        self.program = program
+        self._program = ref(program)
         self.flavor = flavor
         self.threads = threads
+
+    @property
+    def program(self) -> Program:
+        program = self._program()
+        if program is None:
+            raise ReferenceError("the lowered program has been freed")
+        return program
 
     @property
     def total_ops(self) -> int:
@@ -356,9 +371,12 @@ def lower_rollback(writes, thread_id: int, flavor: str,
 # objects), and campaign-style callers lower the *same* program once per
 # trial -- memoise on the program instance so the memo lives exactly as
 # long as its program.  A module-level WeakKeyDictionary cannot do this:
-# the cached LoweredProgram holds a strong reference back to its key, so
-# the value pins the key and every program ever lowered (plus its whole
-# machine-op stream) stays reachable for the life of the process.
+# a value referencing its key pins the key for the life of the process.
+# The LoweredProgram refers back to its program only weakly, so a
+# program and its lowerings form no cycle and are freed by reference
+# counting the moment the last user drops the program -- cells run with
+# the cyclic collector paused (repro.sim.collector), so a cycle here
+# would wait for a full collection that rarely comes.
 _MEMO_ATTR = "_lowered_by_flavor"
 
 

@@ -33,6 +33,7 @@ from typing import Dict, List, Sequence
 
 from ..obsv.bus import get_bus
 from ..runtime.recovery import run_recovery
+from ..sim import collector_paused
 from ..telemetry import get_logger
 from ..validation.campaign import Cell, TrialSpec
 from ..validation.faults import fault_by_name
@@ -124,6 +125,7 @@ def _check_cycle(cell: Cell, crash_cycle: int, image_budget: int,
     return payload
 
 
+@collector_paused()
 def check_cell(spec: TrialSpec, crash_cycles: Sequence[int],
                image_budget: int = DEFAULT_BUDGET,
                shrink: bool = True,

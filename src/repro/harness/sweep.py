@@ -68,6 +68,7 @@ from ..obsv.bus import (
     set_bus,
 )
 from ..persistency import design_by_name
+from ..sim import collector_paused
 from ..system import RESULT_SCHEMA_VERSION, SimResult, build_system
 from ..telemetry import current_context, get_logger, run_context, seed_context
 from ..workloads import (
@@ -453,6 +454,7 @@ def build_spec_system(spec: RunSpec, tracer=None, metrics=None,
     return system
 
 
+@collector_paused()
 def execute_spec(spec: RunSpec, tracer=None, metrics=None) -> SimResult:
     """Run one spec to completion.
 

@@ -1,6 +1,7 @@
 """Discrete-event simulation kernel (events, processes, resources,
-stats, tracing, metrics)."""
+stats, tracing, metrics, the cell-scoped collector pause)."""
 
+from .collector import collector_paused
 from .engine import (
     DEFAULT_SCHEDULER,
     SCHEDULERS,
@@ -66,6 +67,7 @@ __all__ = [
     "TimelineResource",
     "TraceRecorder",
     "Tracer",
+    "collector_paused",
     "geomean",
     "validate_trace_document",
 ]

@@ -32,6 +32,7 @@ from ..obsv.bus import get_bus
 from ..persistency import design_by_name
 from ..runtime.crash import build_crash_system
 from ..runtime.recovery import run_recovery
+from ..sim import collector_paused
 from ..sim.trace import TraceRecorder
 from ..snapshot import (SNAPSHOT_SCHEMA_VERSION, SnapshotError,
                         SnapshotLadder, SnapshotStore, nearest_rung)
@@ -213,6 +214,7 @@ def _judge(spec: TrialSpec, workload, system, fault, done,
     }
 
 
+@collector_paused()
 def run_trial(spec: TrialSpec) -> Dict:
     """Execute one trial cold; returns a JSON-ready outcome dict.
 
@@ -490,6 +492,7 @@ def _resident_cell(spec: TrialSpec) -> Cell:
     return cell
 
 
+@collector_paused()
 def run_trial_batch(specs: Sequence[TrialSpec]) -> List[Dict]:
     """Execute a chunk of trials against resident cells, in order.
 
@@ -539,6 +542,7 @@ def profile_cell_seeding(spec: TrialSpec) -> RunProfile:
     return profile
 
 
+@collector_paused()
 def _profile_cell(spec: TrialSpec, keep_rungs: bool = False
                   ) -> Tuple[RunProfile, Optional[SnapshotLadder]]:
     _workload, system, _fault, recorder, ladder = _build(

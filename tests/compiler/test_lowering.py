@@ -223,6 +223,39 @@ class TestProgramLowering:
         gc.collect()
         assert ghost() is None
 
+    def test_memo_freed_by_reference_counting(self):
+        # Cells run with the cyclic collector paused, so a program and
+        # its lowerings must form no cycle: they go the moment the last
+        # strong reference to the program drops, without a collection.
+        import gc
+        import weakref
+
+        def lowered_program():
+            program = Program("p", [ThreadProgram(0, [locked_fase()])],
+                              n_locks=1)
+            lowered = lower_program(program, "x86")
+            lower_program(program, "pmemspec")
+            return program, lowered
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            program, _lowered = lowered_program()
+            ghost = weakref.ref(program)
+            del program, _lowered
+            assert ghost() is None
+            # A lowering does not keep its program alive either.
+            program, lowered = lowered_program()
+            ghost = weakref.ref(program)
+            assert lowered.program is program
+            del program
+            assert ghost() is None
+            with pytest.raises(ReferenceError):
+                lowered.program
+        finally:
+            if was_enabled:
+                gc.enable()
+
 
 class TestStrandFlavor:
     def test_strand_per_log_group(self):

@@ -5,9 +5,11 @@ more often than once per workload."""
 
 import gc
 import json
+import weakref
 
 import pytest
 
+from repro.compiler import lower_program
 from repro.harness.sweep import Sweep, _workload_class, execute_spec
 from repro.persistency import design_by_name
 from repro.system import build_system
@@ -101,6 +103,50 @@ class TestBound:
         built_program(BENCHMARKS["rbtree"], 1601, 2, 4)
         gc.collect()
         assert keys[0] not in memo._live and keys[1] not in memo._live
+
+
+@pytest.fixture
+def collector_off():
+    """Run with the cyclic collector disabled, as cells do."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
+
+
+def lowered(key):
+    """Build ``key``'s program and lower it for every flavor, so its
+    memo holds lowerings too; keeps no strong reference to either and
+    returns a weak one to the program."""
+    _workload, program = built_program(*key)
+    for flavor in ("x86", "hops", "pmemspec"):
+        lower_program(program, flavor)
+    return weakref.ref(program)
+
+
+class TestBoundByReferenceCounting:
+    """:class:`TestBound` with the collector off and never run: programs
+    and their lowerings are freed by reference counting alone."""
+
+    def test_program_released_when_the_sweep_moves_on(self, collector_off):
+        old = (BENCHMARKS["queue"], 1801, 2, 4)
+        ghost = lowered(old)
+        assert old in memo._live
+        lowered((BENCHMARKS["hashmap"], 1801, 2, 4))
+        assert old not in memo._live and ghost() is None
+
+    def test_held_programs_survive_until_the_hold_ends(self, builds,
+                                                       collector_off):
+        keys = [(BENCHMARKS[name], 1901, 2, 4)
+                for name in ("queue", "hashmap", "queue", "hashmap")]
+        with holding_programs():
+            ghosts = [lowered(key) for key in keys]
+            assert len(builds) == 2
+            assert keys[0] in memo._live and ghosts[0]() is not None
+        lowered((BENCHMARKS["rbtree"], 1901, 2, 4))
+        assert keys[0] not in memo._live and keys[1] not in memo._live
+        assert all(ghost() is None for ghost in ghosts)
 
 
 class TestCampaignBuilds:
