@@ -36,15 +36,9 @@ import sys
 import tempfile
 import time
 
+from repro.harness import Task, WorkStealingPool
 from repro.obsv.bus import EventBus
-from repro.service import (
-    JobRunner,
-    JobSpec,
-    JobStore,
-    Task,
-    WorkStealingPool,
-    report_fingerprint,
-)
+from repro.service import JobRunner, JobSpec, JobStore, report_fingerprint
 
 WORKLOADS = ["hashmap", "queue"]
 DESIGNS = ["PMEM-Spec", "IntelX86"]
@@ -126,8 +120,6 @@ class _NoStealPool(WorkStealingPool):
             own = deques[worker.worker_id]
             if own:
                 seq = own.popleft()
-                bus.emit("task_start", index=seq,
-                         label=tasks[seq].describe())
                 worker.dispatch(seq, tasks[seq], stolen=False)
 
 

@@ -29,6 +29,7 @@ from .report import (
     format_timeseries,
     sparkline,
 )
+from .pool import PoolCancelled, Task, TaskOutcome, WorkStealingPool
 from .retry import DEFAULT_POLICY, SERVICE_POLICY, RetryPolicy
 from .runner import normalized_throughput
 from .sweep import (
@@ -40,7 +41,6 @@ from .sweep import (
     WorkerTaskError,
     build_spec_system,
     execute_spec,
-    plan_batches,
 )
 
 __all__ = [
@@ -58,5 +58,6 @@ __all__ = [
     "naive_tagging_ablation", "normalized_throughput",
     "table3_rows",
     "DEFAULT_POLICY", "SERVICE_POLICY", "RetryPolicy",
-    "WorkerTaskError", "plan_batches",
+    "WorkerTaskError",
+    "PoolCancelled", "Task", "TaskOutcome", "WorkStealingPool",
 ]

@@ -1,18 +1,17 @@
 """One retry policy for every fan-out path in the repo.
 
-Before the service existed, each executor invented its own recovery
-story: :class:`ParallelExecutor` silently re-ran a failed worker task
-once in the parent, and that was the whole policy.  The service's
-work-stealing pool needs more -- bounded attempts, exponential backoff
-with jitter, a predicate for which exceptions are worth retrying at
-all -- and two divergent retry mechanisms is exactly the kind of
-drift that produces "works in the sweep, hangs in the service" bugs.
+Every task -- a sweep spec, a map item, a campaign chunk, inline or on
+a worker -- runs on :class:`repro.harness.WorkStealingPool`, and the
+pool re-dispatches a failed task as the executor's
+:class:`RetryPolicy` allows: bounded attempts, exponential backoff
+with optional jitter, a predicate for which exceptions are worth
+retrying at all.  The CLI's executors use :data:`DEFAULT_POLICY`, the
+service :data:`SERVICE_POLICY`.
 
-:class:`RetryPolicy` is the single shared object.  It is deliberately
-*passive*: it answers "should attempt N+1 happen?" and "how long to
-wait first?", while the caller owns the loop, the clock, and the
-``task_retry`` event it must emit before re-running (silent retries
-are a bug this module exists to end).
+The policy is deliberately *passive*: it answers "should attempt N+1
+happen?" and "how long to wait first?", while the pool owns the loop,
+the clock, and the ``task_retry`` event it emits before re-running
+(silent retries are a bug this module exists to end).
 
 Determinism: ``jitter`` defaults to 0 so the default policy is a pure
 function of the attempt number.  Callers that want jitter pass a
@@ -34,8 +33,7 @@ class RetryPolicy:
     """Bounded retry with exponential backoff.
 
     ``max_attempts`` counts *executions*, not retries: the default of 2
-    means "one retry after the first failure" -- exactly the historical
-    :class:`ParallelExecutor` behaviour.  ``base_delay_s`` is the wait
+    means "one retry after the first failure".  ``base_delay_s`` is the wait
     before attempt 2; each further attempt multiplies it by
     ``multiplier`` and caps at ``max_delay_s``.  ``jitter`` widens each
     delay to ``delay * uniform(1 - jitter, 1 + jitter)`` when an RNG is
@@ -83,10 +81,10 @@ class RetryPolicy:
         return delay
 
 
-#: The historical executor behaviour: one immediate serial retry.
+#: What the CLI's executors run: one immediate retry.
 DEFAULT_POLICY = RetryPolicy(max_attempts=2, base_delay_s=0.0)
 
-#: What the service pool runs by default: three attempts, 0.5s/1s
+#: What the service's executors run: three attempts, 0.5s/1s
 #: backoff -- enough to ride out a transient (OOM-killed worker, a
 #: snapshot store being rewritten underneath) without stalling a
 #: straggler task for long.

@@ -7,15 +7,16 @@ configuration -- and a :class:`Sweep` is an ordered collection of specs
 (usually a cartesian grid).  :class:`ParallelExecutor` turns a sweep
 into a :class:`SweepResult`:
 
-* specs fan out over a ``multiprocessing`` pool (``jobs > 1``) while
-  results always come back in sweep order, so ``jobs=1`` and ``jobs=N``
-  produce bit-identical payloads;
+* specs fan out over the work-stealing pool of
+  :mod:`repro.harness.pool` (``jobs > 1``) while results always come
+  back in sweep order, so ``jobs=1`` and ``jobs=N`` produce
+  bit-identical payloads;
 * each spec's result is cached on disk (one artifact JSON per spec,
   keyed by a content hash of the resolved spec), so re-running an
   unchanged sweep is free;
-* a spec whose worker dies is retried serially in the parent; only if
-  the serial retry fails too does the executor raise, with the worker
-  traceback attached.
+* a failed spec is re-dispatched as the executor's
+  :class:`RetryPolicy` allows; a spec still failing after that raises
+  :class:`SweepError` with the last traceback attached.
 
 Per-spec wall-clock timing and cache provenance land in
 ``SimResult.stats["executor"]``; that section is host-specific and is
@@ -27,9 +28,9 @@ Observability: every sweep narrates itself onto the current
 ``spec_start`` (worker-side), ``spec_finish``/``spec_error``
 (authoritative, parent-side), ``sweep_finish`` -- and the legacy
 ``progress`` string callback is now a thin adapter over those same
-events.  Workers reach the parent's bus through a multiprocessing
-queue installed by the pool initializer (fork start-method only); the
-parent drains and merges, so the log stays a single ordered stream.
+events.  Workers reach the parent's bus through the pool's event
+queue (fork start-method only); the parent drains and merges, so the
+log stays a single ordered stream.
 Events are wall-clock-side bookkeeping: an enabled bus leaves every
 ``SimResult`` payload bit-identical.
 """
@@ -39,11 +40,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
-import signal
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -59,18 +57,11 @@ from typing import (
 )
 
 from ..config import SystemConfig
-from ..obsv.bus import (
-    Bus,
-    EventBus,
-    QueueEmitter,
-    drain_queue,
-    get_bus,
-    set_bus,
-)
+from ..obsv.bus import Bus, EventBus, get_bus
 from ..persistency import design_by_name
 from ..sim import collector_paused
 from ..system import RESULT_SCHEMA_VERSION, SimResult, build_system
-from ..telemetry import current_context, get_logger, run_context, seed_context
+from ..telemetry import get_logger
 from ..workloads import (
     BENCHMARKS,
     LoadMisspecProbe,
@@ -79,6 +70,7 @@ from ..workloads import (
 )
 from .artifacts import load_artifact, save_artifact
 from .configs import default_config
+from .pool import Task, TaskOutcome, WorkStealingPool, error_tail
 from .retry import DEFAULT_POLICY, RetryPolicy
 
 # Synthetic §8.4 probes are runnable through the sweep API even though
@@ -351,7 +343,7 @@ class SweepResult:
 
 
 class SweepError(RuntimeError):
-    """A spec failed in a worker AND in the serial retry."""
+    """A spec still failed when the retry policy ran out."""
 
     def __init__(self, spec: RunSpec, message: str,
                  worker_traceback: str = ""):
@@ -364,59 +356,20 @@ class SweepError(RuntimeError):
 
 
 class WorkerTaskError(RuntimeError):
-    """A worker-side failure the retry policy declined to re-run."""
+    """A map task still failed when the retry policy ran out, or a
+    batch function broke its contract."""
 
 
-def _error_tail(error: str, limit: int = 200) -> str:
-    """The last non-blank line of a traceback string, for events."""
-    lines = [line for line in str(error).strip().splitlines() if line]
-    tail = lines[-1] if lines else str(error)
-    return tail[:limit]
-
-
-def _retry_serial(policy: RetryPolicy, bus: Bus, label: str,
-                  worker_error: str, action: Callable,
-                  sleep: Callable[[float], None] = time.sleep):
-    """Re-run a failed worker task serially, as the policy allows.
-
-    Emits one ``task_retry`` event -- attempt number, backoff delay,
-    error tail -- before *every* re-execution; the pre-PR 8 silent
-    serial fallback is gone.  Returns ``action()``'s value on the
-    first success.  When attempts are exhausted the last in-parent
-    exception re-raises; when the policy allows no retry at all (or
-    rules the failure non-retryable) a :class:`WorkerTaskError`
-    carrying the worker traceback raises instead.
-    """
-    attempt = 1           # the worker execution already failed
-    error = worker_error
-    while policy.should_retry(attempt):
-        delay = policy.delay_s(attempt)
-        bus.emit("task_retry", label=label, attempt=attempt + 1,
-                 delay_s=round(delay, 3), error=_error_tail(error))
-        if delay:
-            sleep(delay)
-        try:
-            return action()
-        except Exception as exc:
-            attempt += 1
-            error = str(exc)
-            if not policy.should_retry(attempt, exc):
-                raise
-    raise WorkerTaskError(
-        f"{label}: worker failed and policy allows no retry\n"
-        f"--- worker traceback ---\n{worker_error}")
-
-
-def plan_batches(items: Sequence, key: Optional[Callable] = None,
-                 chunk_size: Optional[int] = None) -> List[List[int]]:
+def _plan_batches(items: Sequence, key: Optional[Callable] = None,
+                  chunk_size: Optional[int] = None) -> List[List[int]]:
     """Affinity-batched chunk plan: item indexes per (group, chunk).
 
-    The chunking rule behind :meth:`ParallelExecutor.map_batched`,
-    exposed so other schedulers (the service's work-stealing pool)
-    produce *identical* chunks for identical inputs -- which is what
-    makes journaled chunk outcomes reusable across runs.  Items with
-    equal ``key`` stay contiguous; ``chunk_size`` caps items per chunk
-    (``None``/``0`` ships each whole group as one chunk).
+    The chunking rule behind :meth:`ParallelExecutor.map_batched`.  It
+    is deterministic, so identical inputs produce identical chunks --
+    which is what makes the service's journaled chunk outcomes
+    reusable across runs.  Items with equal ``key`` stay contiguous;
+    ``chunk_size`` caps items per chunk (``None``/``0`` ships each
+    whole group as one chunk).
     """
     groups: Dict[object, List[int]] = {}
     for index, item in enumerate(items):
@@ -465,86 +418,14 @@ def execute_spec(spec: RunSpec, tracer=None, metrics=None) -> SimResult:
     return build_spec_system(spec, tracer=tracer, metrics=metrics).run()
 
 
-# Worker-side alias (kept for pickling stability and old imports).
+# The name sweep tasks call; tests patch it to inject failures.
 _execute_spec = execute_spec
 
 
-def reset_worker_signals() -> None:
-    """Restore default signal dispositions in a forked worker.
-
-    The CLI installs SIGINT/SIGTERM handlers that raise into the
-    *parent's* dispatch loop for a graceful unwind; a forked worker
-    inherits them, which breaks ``Pool.terminate()`` -- the worker's
-    main thread can sit in an uninterruptible semaphore wait (or catch
-    the raised exception as an ordinary task failure) and outlive the
-    pool, deadlocking the parent's ``join()``.  Workers therefore go
-    back to ``SIG_DFL`` for SIGTERM (so terminate() kills them) and
-    ignore SIGINT (a Ctrl-C is the parent's to handle; it tears the
-    pool down explicitly)."""
-    try:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # non-main thread / platform quirks
-        pass
-
-
-def _pool_initializer(queue, context_fields: Dict[str, str]) -> None:
-    """Runs once in each pool worker: install a queue-backed bus and
-    the parent's run context, so events (and log records) emitted deep
-    inside a worker carry the parent's correlation IDs.  Only wired up
-    under the ``fork`` start method (queue inheritance)."""
-    reset_worker_signals()
-    if queue is not None:
-        set_bus(QueueEmitter(queue))
-    seed_context(context_fields)
-
-
-def _pool_worker(item: Tuple[int, RunSpec]):
-    index, spec = item
-    start = time.perf_counter()
-    try:
-        with run_context(spec_hash=spec.cache_key()[:12]):
-            get_bus().emit("spec_start", index=index,
-                           describe=spec.describe())
-            result = _execute_spec(spec)
-        return index, "ok", result.to_dict(), time.perf_counter() - start
-    except Exception:
-        return (index, "err", traceback.format_exc(),
-                time.perf_counter() - start)
-
-
-def _map_worker(item: Tuple[int, Callable, object]):
-    index, fn, arg = item
-    start = time.perf_counter()
-    try:
-        get_bus().emit("task_start", index=index, label=f"item {index}")
-        return index, "ok", fn(arg), time.perf_counter() - start
-    except Exception:
-        return (index, "err", traceback.format_exc(),
-                time.perf_counter() - start)
-
-
-def _batch_worker(item: Tuple[int, Callable, list]):
-    index, fn, chunk = item
-    start = time.perf_counter()
-    try:
-        get_bus().emit("batch_start", index=index,
-                       label=f"batch {index}", size=len(chunk))
-        return index, "ok", fn(chunk), time.perf_counter() - start
-    except Exception:
-        return (index, "err", traceback.format_exc(),
-                time.perf_counter() - start)
-
-
-def _pool_channel(context, ship: bool):
-    """(queue, initializer, initargs) for a pool: a real event channel
-    when ``ship`` is on and the platform forks workers (queue
-    inheritance needs fork); an inert initializer otherwise, so the
-    worker still gets the parent's run context."""
-    queue = None
-    if ship and context.get_start_method() == "fork":
-        queue = context.Queue()
-    return queue, _pool_initializer, (queue, current_context())
+def _run_spec(spec: RunSpec) -> SimResult:
+    """A sweep task.  It looks ``_execute_spec`` up when it runs, so a
+    forked worker runs whatever the module holds at fork time."""
+    return _execute_spec(spec)
 
 
 class _ProgressAdapter:
@@ -554,8 +435,8 @@ class _ProgressAdapter:
     output they always did -- the callback is now just another bus
     subscriber."""
 
-    _HOW = {"cache": "cached", "retry": "serial retry",
-            "degraded": "serial (no pool)"}
+    _HOW = {"cache": "cached", "retry": "retried",
+            "journal": "journaled"}
 
     def __init__(self, callback: Callable[[str], None], total: int,
                  describe: Optional[Callable[[int], str]] = None):
@@ -615,11 +496,6 @@ class _SweepTally:
                 max(self.spec_walls))
 
 
-#: Distinguishes "no result yet" from a legitimate ``None`` result in
-#: :meth:`ParallelExecutor.map`'s OSError fallback.
-_UNSET = object()
-
-
 class ParallelExecutor:
     """Executes sweeps; the only way experiments run simulations.
 
@@ -631,7 +507,14 @@ class ParallelExecutor:
     ``bus`` pins the event bus this executor publishes to; the default
     resolves :func:`repro.obsv.bus.get_bus` at each ``run()``/``map()``
     so the CLI's ``--events-out`` scope is picked up automatically.
+
+    :meth:`run`, :meth:`map` and :meth:`map_batched` each turn their
+    work into :class:`Task` s and hand them to :meth:`_dispatch`, the
+    one call into the :class:`WorkStealingPool`.
     """
+
+    #: Wall-clock bound on one task execution (``None`` = no limit).
+    task_timeout_s: Optional[float] = None
 
     def __init__(self, jobs: Optional[int] = 1,
                  cache_dir: Optional[str] = None,
@@ -643,24 +526,38 @@ class ParallelExecutor:
         self.cache_dir = cache_dir
         self.progress = progress
         self.bus = bus
-        #: Worker-failure recovery policy shared with the service pool
-        #: (:mod:`repro.harness.retry`); the default reproduces the
-        #: historical behaviour -- one immediate serial retry -- but
-        #: narrated through ``task_retry`` events instead of silently.
+        #: Failure recovery for every task, inline or pooled
+        #: (:mod:`repro.harness.retry`): a failed task is re-dispatched
+        #: as the policy allows, each time narrated as ``task_retry``.
         self.retry = retry if retry is not None else DEFAULT_POLICY
 
-    def _resolve_bus(self) -> Tuple[Bus, bool]:
-        """(bus to publish on, whether it is externally observed).
+    def _resolve_bus(self) -> Tuple[Bus, Bus]:
+        """(bus to publish on, the externally observed bus).
 
-        With no external bus the executor still runs a private
+        With no enabled external bus the executor still runs a private
         :class:`EventBus` so the progress adapter and the stats tally
         are fed from real events; privately-generated events are
-        dropped at the end of the call (and no worker queue is set up).
+        dropped at the end of the call.  The pool gets the observed
+        bus, so it ships worker events back only when someone listens.
         """
-        bus = self.bus if self.bus is not None else get_bus()
-        if bus.enabled:
-            return bus, True
-        return EventBus(), False
+        observed = self.bus if self.bus is not None else get_bus()
+        if observed.enabled:
+            return observed, observed
+        return EventBus(), observed
+
+    def _dispatch(self, tasks: List[Task], bus: Bus,
+                  settle: Callable[[TaskOutcome], None]) -> None:
+        """Run ``tasks`` on the pool, calling ``settle`` with each
+        outcome as it lands (inline when ``jobs`` is 1)."""
+        WorkStealingPool(workers=self.jobs, retry=self.retry,
+                         task_timeout_s=self.task_timeout_s,
+                         bus=bus).run(tasks, on_result=settle,
+                                      should_stop=self._should_stop)
+
+    def _should_stop(self) -> bool:
+        """Polled between tasks; true stops the run with
+        :class:`PoolCancelled`.  Plain sweeps never stop early."""
+        return False
 
     # ------------------------------------------------------------ cache
 
@@ -692,7 +589,11 @@ class ParallelExecutor:
 
     def run(self, sweep: Union[Sweep, RunSpec, Iterable[RunSpec]]
             ) -> SweepResult:
-        """Execute every spec; results come back in sweep order."""
+        """Execute every spec; results come back in sweep order.
+
+        Specs of one built program (benchmark, seed, threads, FASEs)
+        share an affinity, so one worker runs all designs of a
+        benchmark and builds its program once."""
         if isinstance(sweep, RunSpec):
             specs = [sweep]
         else:
@@ -700,7 +601,7 @@ class ParallelExecutor:
         started = time.perf_counter()
         results: List[Optional[SimResult]] = [None] * len(specs)
         timings: List[Dict] = [dict() for _ in specs]
-        bus, external = self._resolve_bus()
+        bus, observed = self._resolve_bus()
         tally = _SweepTally()
         adapter = (_ProgressAdapter(self.progress, len(specs))
                    if self.progress is not None else None)
@@ -738,25 +639,35 @@ class ParallelExecutor:
                              describe=spec.describe())
                     misses.append(index)
 
-            if misses and self.jobs > 1 and len(misses) > 1:
-                self._run_pool(specs, misses, results, timings, bus,
-                               finish, ship=external)
-            else:
-                for index in misses:
-                    spec = specs[index]
-                    start = time.perf_counter()
-                    bus.emit("spec_start", index=index,
-                             describe=spec.describe())
-                    try:
-                        results[index] = _execute_spec(spec)
-                    except Exception as exc:
-                        bus.emit("spec_error", index=index,
-                                 describe=spec.describe(),
-                                 error=str(exc))
-                        raise SweepError(spec, str(exc)) from exc
-                    self._cache_store(spec, results[index])
-                    finish(index, time.perf_counter() - start, False,
-                           False, "serial")
+            def settle(outcome: TaskOutcome) -> None:
+                index = misses[outcome.index]
+                spec = specs[index]
+                if not outcome.ok:
+                    tail = error_tail(outcome.error)
+                    bus.emit("spec_error", index=index,
+                             describe=spec.describe(), error=tail)
+                    raise SweepError(
+                        spec, f"{tail} (after {outcome.attempts} "
+                              f"attempt(s))",
+                        worker_traceback=outcome.error)
+                results[index] = outcome.value
+                self._cache_store(spec, outcome.value)
+                finish(index, outcome.elapsed_s, False,
+                       outcome.attempts > 1, outcome.source)
+
+            tasks = []
+            for index in misses:
+                spec = specs[index]
+                key = spec.cache_key()
+                tasks.append(Task(
+                    key=key, fn=_run_spec, arg=spec,
+                    affinity=(spec.benchmark, spec.seed, spec.n_threads,
+                              spec.resolved_fases()),
+                    label=spec.describe(),
+                    start=("spec_start", {"index": index,
+                                          "describe": spec.describe()}),
+                    context={"spec_hash": key[:12]}))
+            self._dispatch(tasks, observed, settle)
 
             elapsed = time.perf_counter() - started
             # The summary -- both the stats dict and the log line --
@@ -801,85 +712,18 @@ class ParallelExecutor:
         """Apply a picklable ``fn`` to every item, in order.
 
         The generic sibling of :meth:`run` for non-``RunSpec`` work (the
-        validation campaign's crash trials fan out through this): same
-        pool/serial split, same per-item serial retry with the worker
-        traceback attached on a second failure, same OSError degradation
-        to serial -- but no disk cache and plain return values instead of
-        :class:`SimResult`.  ``fn`` and each item must survive pickling
-        when ``jobs > 1``.
+        validation campaign's profiling runs fan out through this): the
+        same pool and retry policy, but no disk cache and plain return
+        values instead of :class:`SimResult`.  ``fn`` and each item must
+        survive pickling when ``jobs > 1``.
         """
         items = list(items)
-        results: List = [_UNSET] * len(items)
-        bus, external = self._resolve_bus()
-        adapter = (_ProgressAdapter(self.progress, len(items))
-                   if self.progress is not None else None)
-        if adapter is not None:
-            bus.subscribe(adapter)
-
-        def label(index: int) -> str:
-            return (describe(items[index]) if describe is not None
-                    else f"item {index}")
-
-        def finish(index: int, elapsed: float, source: str) -> None:
-            bus.emit("task_finish", index=index, label=label(index),
-                     elapsed_s=elapsed, source=source)
-
-        def run_serial(index: int, source: str = "serial") -> None:
-            start = time.perf_counter()
-            results[index] = fn(items[index])
-            finish(index, time.perf_counter() - start, source)
-
-        try:
-            if self.jobs > 1 and len(items) > 1:
-                work = [(index, fn, item)
-                        for index, item in enumerate(items)]
-                queue = None
-                try:
-                    context = multiprocessing.get_context()
-                    queue, initializer, initargs = _pool_channel(
-                        context, external)
-                    with context.Pool(
-                            processes=min(self.jobs, len(work)),
-                            initializer=initializer,
-                            initargs=initargs) as pool:
-                        for index, status, payload, elapsed in \
-                                pool.imap_unordered(_map_worker, work):
-                            drain_queue(queue, bus)
-                            if status == "ok":
-                                results[index] = payload
-                                finish(index, elapsed, "pool")
-                                continue
-                            try:
-                                _retry_serial(
-                                    self.retry, bus, label(index),
-                                    payload,
-                                    lambda index=index: run_serial(
-                                        index, "retry"))
-                            except Exception as exc:
-                                bus.emit("task_error", index=index,
-                                         label=label(index),
-                                         error=str(exc))
-                                raise RuntimeError(
-                                    f"map item {index} failed in the "
-                                    f"worker and in serial retry: "
-                                    f"{exc}\n"
-                                    f"--- worker traceback ---\n"
-                                    f"{payload}") from exc
-                except OSError:
-                    log.warning("no process pool available; map "
-                                "degrades to serial")
-                    for index in range(len(items)):
-                        if results[index] is _UNSET:
-                            run_serial(index, "degraded")
-                finally:
-                    drain_queue(queue, bus)
-            else:
-                for index in range(len(items)):
-                    run_serial(index)
-        finally:
-            if adapter is not None:
-                bus.unsubscribe(adapter)
-        return results
+        tasks = [Task(key=f"item {index}", fn=fn, arg=item,
+                      affinity=index,
+                      label=(describe(item) if describe is not None
+                             else f"item {index}"))
+                 for index, item in enumerate(items)]
+        return self._fan_out(tasks, "task")
 
     # ------------------------------------------------------ map_batched
 
@@ -893,179 +737,84 @@ class ParallelExecutor:
         ``fn`` is a *batch* function: it receives a list of items and
         must return a list of results of the same length, in order.
         ``key`` groups items (all items with equal keys land in the
-        same chunks -- the campaign groups crash trials by cell so a
-        worker can keep the cell's system resident across the chunk);
-        ``chunk_size`` caps items per shipped task (``None``/``0``
-        ships each whole group as one task).  Results come back in the
-        original item order.
+        same chunks, and the group is the chunk's affinity -- the
+        campaign groups crash trials by cell so a worker can keep the
+        cell's system resident across its chunks); ``chunk_size`` caps
+        items per shipped task (``None``/``0`` ships each whole group
+        as one task).  Results come back in the original item order.
 
-        Pool conventions match :meth:`map` -- per-chunk serial retry in
-        the parent on a worker failure, OSError degradation to serial
-        -- but the bus carries one ``batch_start``/``batch_finish`` per
-        chunk instead of one ``task_*`` pair per item: collapsing the
-        per-item pickle round-trips into one per chunk is the point.
+        Pool conventions match :meth:`map`, but the bus carries one
+        ``batch_start``/``batch_finish`` per chunk instead of one
+        ``task_*`` pair per item: collapsing the per-item pickle
+        round-trips into one per chunk is the point.
         """
         items = list(items)
-        batches = plan_batches(items, key=key, chunk_size=chunk_size)
-        results: List = [_UNSET] * len(items)
-        bus, external = self._resolve_bus()
-        adapter = (_ProgressAdapter(self.progress, len(batches))
+        batches = _plan_batches(items, key=key, chunk_size=chunk_size)
+        tasks = []
+        for batch_index, indices in enumerate(batches):
+            chunk = [items[i] for i in indices]
+            tasks.append(Task(
+                key=f"batch {batch_index}", fn=fn, arg=chunk,
+                affinity=key(chunk[0]) if key is not None else None,
+                label=(describe(chunk) if describe is not None
+                       else f"batch {batch_index} (x{len(chunk)})")))
+        results: List = [None] * len(items)
+        for indices, payload in zip(batches,
+                                    self._fan_out(tasks, "batch")):
+            if (not isinstance(payload, (list, tuple))
+                    or len(payload) != len(indices)):
+                count = (len(payload) if hasattr(payload, "__len__")
+                         else repr(payload))
+                raise WorkerTaskError(
+                    f"batched fn returned {count} result(s) for a "
+                    f"{len(indices)}-item chunk")
+            for index, value in zip(indices, payload):
+                results[index] = value
+        return results
+
+    def _fan_out(self, tasks: List[Task], kind: str) -> List:
+        """Shared body of :meth:`map` and :meth:`map_batched`: every
+        task's value, in task order.
+
+        ``kind`` names the events (``task_*`` or ``batch_*``; batch
+        events carry the chunk ``size``).  Every task settles into one
+        ``<kind>_finish``, or into a ``task_error`` and a
+        :class:`WorkerTaskError` once the retry policy runs out.  With
+        ``jobs > 1`` each task also announces its start from the worker
+        that runs it.
+        """
+        values: List = [None] * len(tasks)
+        bus, observed = self._resolve_bus()
+        adapter = (_ProgressAdapter(self.progress, len(tasks))
                    if self.progress is not None else None)
         if adapter is not None:
             bus.subscribe(adapter)
 
-        def chunk_items(batch_index: int) -> list:
-            return [items[i] for i in batches[batch_index]]
+        def fields(index: int) -> Dict:
+            task = tasks[index]
+            sized = {"size": len(task.arg)} if kind == "batch" else {}
+            return {"index": index, "label": task.label, **sized}
 
-        def label(batch_index: int) -> str:
-            chunk = chunk_items(batch_index)
-            return (describe(chunk) if describe is not None
-                    else f"batch {batch_index} (x{len(chunk)})")
+        def settle(outcome: TaskOutcome) -> None:
+            if not outcome.ok:
+                label = tasks[outcome.index].label
+                bus.emit("task_error", index=outcome.index, label=label,
+                         error=error_tail(outcome.error))
+                raise WorkerTaskError(
+                    f"{label}: quarantined after {outcome.attempts} "
+                    f"attempt(s): {error_tail(outcome.error)}\n"
+                    f"--- last traceback ---\n{outcome.error}")
+            values[outcome.index] = outcome.value
+            bus.emit(f"{kind}_finish", elapsed_s=outcome.elapsed_s,
+                     source=outcome.source, **fields(outcome.index))
 
-        def install(batch_index: int, payload) -> None:
-            indices = batches[batch_index]
-            if (not isinstance(payload, (list, tuple))
-                    or len(payload) != len(indices)):
-                raise RuntimeError(
-                    f"batched fn returned "
-                    f"{len(payload) if hasattr(payload, '__len__') else payload!r} "
-                    f"result(s) for a {len(indices)}-item batch")
-            for index, value in zip(indices, payload):
-                results[index] = value
-
-        def finish(batch_index: int, elapsed: float, source: str) -> None:
-            bus.emit("batch_finish", index=batch_index,
-                     label=label(batch_index),
-                     size=len(batches[batch_index]), elapsed_s=elapsed,
-                     source=source)
-
-        def run_serial(batch_index: int, source: str = "serial") -> None:
-            start = time.perf_counter()
-            install(batch_index, fn(chunk_items(batch_index)))
-            finish(batch_index, time.perf_counter() - start, source)
-
+        if self.jobs > 1:
+            tasks = [dataclasses.replace(
+                         task, start=(f"{kind}_start", fields(index)))
+                     for index, task in enumerate(tasks)]
         try:
-            if self.jobs > 1 and len(batches) > 1:
-                work = [(batch_index, fn, chunk_items(batch_index))
-                        for batch_index in range(len(batches))]
-                queue = None
-                try:
-                    context = multiprocessing.get_context()
-                    queue, initializer, initargs = _pool_channel(
-                        context, external)
-                    with context.Pool(
-                            processes=min(self.jobs, len(work)),
-                            initializer=initializer,
-                            initargs=initargs) as pool:
-                        for batch_index, status, payload, elapsed in \
-                                pool.imap_unordered(_batch_worker, work):
-                            drain_queue(queue, bus)
-                            if status == "ok":
-                                install(batch_index, payload)
-                                finish(batch_index, elapsed, "pool")
-                                continue
-                            try:
-                                _retry_serial(
-                                    self.retry, bus,
-                                    label(batch_index), payload,
-                                    lambda batch_index=batch_index:
-                                        run_serial(batch_index, "retry"))
-                            except Exception as exc:
-                                bus.emit("task_error", index=batch_index,
-                                         label=label(batch_index),
-                                         error=str(exc))
-                                raise RuntimeError(
-                                    f"batch {batch_index} failed in the "
-                                    f"worker and in serial retry: "
-                                    f"{exc}\n"
-                                    f"--- worker traceback ---\n"
-                                    f"{payload}") from exc
-                except OSError:
-                    log.warning("no process pool available; batched map "
-                                "degrades to serial")
-                    for batch_index in range(len(batches)):
-                        if any(results[i] is _UNSET
-                               for i in batches[batch_index]):
-                            run_serial(batch_index, "degraded")
-                finally:
-                    drain_queue(queue, bus)
-            else:
-                for batch_index in range(len(batches)):
-                    run_serial(batch_index)
+            self._dispatch(tasks, observed, settle)
         finally:
             if adapter is not None:
                 bus.unsubscribe(adapter)
-        return results
-
-    def _run_pool(self, specs: Sequence[RunSpec], misses: Sequence[int],
-                  results: List[Optional[SimResult]],
-                  timings: List[Dict], bus: Bus, finish,
-                  ship: bool = False) -> None:
-        """Fan the cache misses out over a process pool.
-
-        Worker-side events (``spec_start`` and anything emitted deeper)
-        travel back over a multiprocessing queue and are merged into
-        ``bus`` as results stream in; the authoritative ``spec_finish``
-        for each spec is emitted parent-side by ``finish``.
-        """
-        work = [(index, specs[index]) for index in misses]
-        queue = None
-        try:
-            context = multiprocessing.get_context()
-            queue, initializer, initargs = _pool_channel(context, ship)
-            with context.Pool(processes=min(self.jobs, len(work)),
-                              initializer=initializer,
-                              initargs=initargs) as pool:
-                outcomes = pool.imap_unordered(_pool_worker, work)
-                for index, status, payload, elapsed in outcomes:
-                    drain_queue(queue, bus)
-                    if status == "ok":
-                        results[index] = SimResult.from_dict(payload)
-                        self._cache_store(specs[index], results[index])
-                        finish(index, elapsed, False, False, "pool")
-                        continue
-                    # Worker failed: re-run serially in the parent as
-                    # the retry policy allows, so a flaky worker cannot
-                    # sink the sweep; exhausting the policy surfaces
-                    # both tracebacks.
-                    start = time.perf_counter()
-                    bus.emit("spec_start", index=index,
-                             describe=specs[index].describe())
-
-                    def rerun(index=index):
-                        return _execute_spec(specs[index])
-
-                    try:
-                        results[index] = _retry_serial(
-                            self.retry, bus, specs[index].describe(),
-                            payload, rerun)
-                    except Exception as exc:
-                        bus.emit("spec_error", index=index,
-                                 describe=specs[index].describe(),
-                                 error=str(exc))
-                        raise SweepError(specs[index], str(exc),
-                                         worker_traceback=payload) from exc
-                    self._cache_store(specs[index], results[index])
-                    finish(index, time.perf_counter() - start, False,
-                           True, "retry")
-        except OSError:
-            # No process pool available (restricted environments):
-            # degrade to serial for the whole remainder.
-            for index in misses:
-                if results[index] is not None:
-                    continue
-                start = time.perf_counter()
-                bus.emit("spec_start", index=index,
-                         describe=specs[index].describe())
-                try:
-                    results[index] = _execute_spec(specs[index])
-                except Exception as exc:
-                    bus.emit("spec_error", index=index,
-                             describe=specs[index].describe(),
-                             error=str(exc))
-                    raise SweepError(specs[index], str(exc)) from exc
-                self._cache_store(specs[index], results[index])
-                finish(index, time.perf_counter() - start, False,
-                       False, "degraded")
-        finally:
-            drain_queue(queue, bus)
+        return values

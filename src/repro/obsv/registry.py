@@ -277,8 +277,8 @@ class MetricsRegistry:
                 ).observe(cycles / elapsed)
         if event.get("retried"):
             self.counter("repro_spec_retries_total",
-                         "Specs retried serially after a worker "
-                         "failure").inc()
+                         "Specs that succeeded only on a "
+                         "retry").inc()
         for depth in event.get("wpq_depth_means") or ():
             self.histogram("repro_wpq_depth",
                            "Per-window mean WPQ occupancy",

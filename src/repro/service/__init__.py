@@ -2,9 +2,9 @@
 
 Promotes the harness from a CLI you babysit to a long-running service
 you submit work to: a durable job queue (:mod:`repro.service.jobs`),
-a work-stealing worker pool (:mod:`repro.service.workers`), resumable
-execution that replays journaled task outcomes instead of
-re-simulating (:mod:`repro.service.runner`), and a stdlib asyncio
+resumable execution that replays journaled task outcomes instead of
+re-simulating (:mod:`repro.service.runner`, on the harness's
+work-stealing pool, :mod:`repro.harness.pool`), and a stdlib asyncio
 HTTP/JSON front end with streaming NDJSON events
 (:mod:`repro.service.api`).  See ``docs/SERVICE.md``.
 """
@@ -28,12 +28,6 @@ from .runner import (
     ServiceExecutor,
     task_key,
 )
-from .workers import (
-    PoolCancelled,
-    Task,
-    TaskOutcome,
-    WorkStealingPool,
-)
 
 __all__ = [
     "JOB_KINDS", "JOB_SCHEMA_VERSION", "JOB_STATES",
@@ -41,6 +35,5 @@ __all__ = [
     "JobError", "JobRecord", "JobSpec", "JobStore",
     "JobCancelled", "JobRunner", "ServiceExecutor",
     "report_fingerprint", "task_key",
-    "PoolCancelled", "Task", "TaskOutcome", "WorkStealingPool",
     "ServiceClient", "ServiceError",
 ]

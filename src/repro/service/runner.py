@@ -1,19 +1,17 @@
-"""Resumable job execution: journal short-circuit + the pool bridge.
+"""Resumable job execution: the journal short-circuit.
 
-The executor the campaign engine sees here is a drop-in for
-:class:`repro.harness.ParallelExecutor`'s ``map``/``map_batched``
-surface, but every task it would run is first given a **durable
-identity** -- a content hash of the function's qualified name plus the
-canonical JSON of its argument -- and looked up in the job's task
-journal.  Outcomes already journaled return instantly (counted as
-``tasks_from_journal``); only the rest go to the work-stealing pool,
-and each settles into the journal the moment it finishes.  Chunking
-goes through the shared :func:`repro.harness.plan_batches`, so a
-resumed run produces byte-for-byte the same chunks -- which is the
-whole trick: a job killed mid-campaign re-simulates exactly the tasks
-whose outcomes never reached the journal, and the rebuilt
-:class:`CampaignReport` is byte-identical to an uninterrupted run
-(modulo wall-clock: see
+:class:`ServiceExecutor` is a :class:`repro.harness.ParallelExecutor`
+that gives every task a **durable identity** -- a content hash of the
+function's qualified name plus the canonical JSON of its argument --
+and looks it up in the job's task journal before anything runs.
+Outcomes already journaled return instantly (counted as
+``tasks_from_journal``); only the rest go to the executor's pool, and
+each settles into the journal the moment it finishes.  Chunking is the
+executor's own deterministic ``map_batched`` plan, so a resumed run
+produces byte-for-byte the same chunks -- which is the whole trick: a
+job killed mid-campaign re-simulates exactly the tasks whose outcomes
+never reached the journal, and the rebuilt :class:`CampaignReport` is
+byte-identical to an uninterrupted run (modulo wall-clock: see
 :func:`repro.validation.campaign.report_fingerprint`).
 
 Sweep jobs need none of this machinery -- the per-spec result cache
@@ -29,16 +27,11 @@ import hashlib
 import json
 import os
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
+from ..harness.pool import PoolCancelled, Task, TaskOutcome
 from ..harness.retry import SERVICE_POLICY, RetryPolicy
-from ..harness.sweep import (
-    ParallelExecutor,
-    RunSpec,
-    Sweep,
-    WorkerTaskError,
-    plan_batches,
-)
+from ..harness.sweep import ParallelExecutor, RunSpec, Sweep
 from ..obsv.bus import Bus, get_bus
 from ..telemetry import get_logger
 from ..validation.planners import RunProfile
@@ -52,7 +45,6 @@ from .jobs import (
     JobRecord,
     JobStore,
 )
-from .workers import PoolCancelled, Task, WorkStealingPool
 
 log = get_logger("service.runner")
 
@@ -110,23 +102,28 @@ def _decode(payload):
 # ------------------------------------------------------- ServiceExecutor
 
 
-class ServiceExecutor:
-    """A ``map``/``map_batched`` surface that journals every outcome.
+class ServiceExecutor(ParallelExecutor):
+    """A :class:`ParallelExecutor` that journals every task outcome.
 
     Drop-in where :func:`repro.validation.run_campaign` expects an
-    executor.  ``stats`` accumulates resume attribution --
-    ``tasks_from_journal`` vs ``tasks_executed`` -- which the runner
-    writes into the job's terminal journal entry (the kill-and-resume
-    test asserts on exactly these counters).
+    executor.  It adds the journal short-circuit, journaling as each
+    task finishes, and the cancel check between tasks.  ``stats``
+    accumulates resume attribution -- ``tasks_from_journal`` vs
+    ``tasks_executed`` -- which the runner writes into the job's
+    terminal journal entry (the kill-and-resume test asserts on
+    exactly these counters).
     """
 
-    def __init__(self, store: JobStore, job_id: str,
-                 pool: WorkStealingPool, bus: Optional[Bus] = None,
-                 interrupt=None):
+    def __init__(self, store: JobStore, job_id: str, jobs: int = 1,
+                 retry: Optional[RetryPolicy] = None,
+                 task_timeout_s: Optional[float] = None,
+                 bus: Optional[Bus] = None, interrupt=None):
+        super().__init__(jobs=jobs, bus=bus,
+                         retry=retry if retry is not None
+                         else SERVICE_POLICY)
+        self.task_timeout_s = task_timeout_s
         self.store = store
         self.job_id = job_id
-        self.pool = pool
-        self.bus = bus
         #: Optional ``callable() -> bool``: the service's shutdown
         #: flag.  Both it and the on-disk cancel marker stop the job
         #: between tasks; the runner tells them apart afterwards.
@@ -135,106 +132,51 @@ class ServiceExecutor:
         self.stats = {"tasks_from_journal": 0, "tasks_executed": 0,
                       "tasks_total": 0}
 
-    def _resolve_bus(self) -> Bus:
-        return self.bus if self.bus is not None else get_bus()
-
-    # The campaign engine calls these two --------------------------------
-
-    def map(self, fn, items: Sequence, describe=None) -> List:
-        items = list(items)
-        tasks = [Task(key=task_key(fn, item), fn=fn, arg=item,
-                      affinity=index,
-                      label=(describe(item) if describe is not None
-                             else f"item {index}"))
-                 for index, item in enumerate(items)]
-        flat = self._run_tasks(tasks)
-        return flat
-
-    def map_batched(self, fn, items: Sequence, key=None,
-                    chunk_size=None, describe=None) -> List:
-        items = list(items)
-        batches = plan_batches(items, key=key, chunk_size=chunk_size)
-        tasks = []
-        for indices in batches:
-            chunk = [items[i] for i in indices]
-            tasks.append(Task(
-                key=task_key(fn, chunk), fn=fn, arg=chunk,
-                affinity=(key(chunk[0]) if key is not None else None),
-                label=(describe(chunk) if describe is not None
-                       else f"batch x{len(chunk)}")))
-        values = self._run_tasks(tasks)
-        results: List = [None] * len(items)
-        for indices, value in zip(batches, values):
-            if (not isinstance(value, (list, tuple))
-                    or len(value) != len(indices)):
-                raise WorkerTaskError(
-                    f"batched task returned "
-                    f"{len(value) if hasattr(value, '__len__') else value!r}"
-                    f" result(s) for a {len(indices)}-item chunk")
-            for index, item in zip(indices, value):
-                results[index] = item
-        return results
-
-    # ------------------------------------------------------------ guts
-
     def _should_stop(self) -> bool:
         if self.interrupt is not None and self.interrupt():
             return True
         return self.store.cancel_requested(self.job_id)
 
-    def _check_cancel(self) -> None:
+    def _dispatch(self, tasks: List[Task], bus: Bus, settle) -> None:
+        """Journal hits settle at once; the rest go to the pool, each
+        journaled as it settles."""
         if self._should_stop():
             raise JobCancelled(self.job_id)
-
-    def _run_tasks(self, tasks: List[Task]) -> List:
-        """Journal hits short-circuit; the rest go to the pool, each
-        journaled as it settles.  Values return in task order."""
-        self._check_cancel()
-        bus = self._resolve_bus()
         self.stats["tasks_total"] += len(tasks)
-        values: List = [None] * len(tasks)
+        tasks = [dataclasses.replace(task, key=task_key(task.fn, task.arg))
+                 for task in tasks]
         missing: List[int] = []
         for position, task in enumerate(tasks):
             if task.key in self.journaled:
-                values[position] = _decode(self.journaled[task.key])
                 self.stats["tasks_from_journal"] += 1
+                settle(TaskOutcome(
+                    key=task.key, status="ok", attempts=0, index=position,
+                    value=_decode(self.journaled[task.key])))
             else:
                 missing.append(position)
         self._progress(bus)
-        if not missing:
-            return values
 
-        def on_result(outcome) -> None:
+        def on_result(outcome: TaskOutcome) -> None:
             if outcome.ok:
-                self.store.append_task(self.job_id, outcome.key,
-                                       _encode(outcome.value))
-                self.journaled[outcome.key] = _encode(outcome.value)
+                encoded = _encode(outcome.value)
+                self.store.append_task(self.job_id, outcome.key, encoded)
+                self.journaled[outcome.key] = encoded
             self.stats["tasks_executed"] += 1
             self._progress(bus)
+            outcome.index = missing[outcome.index]
+            settle(outcome)
 
         try:
-            outcomes = self.pool.run(
-                [tasks[position] for position in missing],
-                on_result=on_result, should_stop=self._should_stop)
+            super()._dispatch([tasks[position] for position in missing],
+                              bus, on_result)
         except PoolCancelled as exc:
             raise JobCancelled(str(exc)) from None
-        for position, outcome in zip(missing, outcomes):
-            if not outcome.ok:
-                raise WorkerTaskError(
-                    f"task {tasks[position].describe()} quarantined "
-                    f"after {outcome.attempts} attempt(s)\n"
-                    f"--- last error ---\n{outcome.error}")
-            values[position] = outcome.value
-        return values
 
     def _progress(self, bus: Bus) -> None:
         done = (self.stats["tasks_from_journal"]
                 + self.stats["tasks_executed"])
         bus.emit("job_progress", job_id=self.job_id, done=done,
                  total=self.stats["tasks_total"])
-
-
-# ------------------------------------------------------------ fingerprint
 
 
 # -------------------------------------------------------------- JobRunner
@@ -335,10 +277,9 @@ class JobRunner:
         simulates only the rest (rungs come off the shared snapshot
         tier either way)."""
         from ..validation.campaign import run_campaign
-        pool = WorkStealingPool(workers=self.workers, retry=self.retry,
-                                task_timeout_s=self.task_timeout_s,
-                                bus=self.bus)
-        executor = ServiceExecutor(self.store, job_id, pool,
+        executor = ServiceExecutor(self.store, job_id, jobs=self.workers,
+                                   retry=self.retry,
+                                   task_timeout_s=self.task_timeout_s,
                                    bus=self.bus,
                                    interrupt=self.interrupt)
         params = spec.params

@@ -4,7 +4,7 @@ how work is shipped: same results, same order, per-chunk retry."""
 
 import pytest
 
-from repro.harness import ParallelExecutor
+from repro.harness import ParallelExecutor, WorkerTaskError
 from repro.obsv.bus import EventBus, set_bus, validate_events
 
 
@@ -62,7 +62,7 @@ class TestResults:
         assert ParallelExecutor(jobs=1).map_batched(double_all, []) == []
 
     def test_wrong_result_length_raises(self):
-        with pytest.raises(RuntimeError, match="2-item batch"):
+        with pytest.raises(WorkerTaskError, match="2-item chunk"):
             ParallelExecutor(jobs=1).map_batched(wrong_length, [1, 2])
 
 
@@ -116,10 +116,11 @@ class TestEvents:
 
 class TestFailureHandling:
     def test_worker_failure_retries_chunk_serially(self):
-        # boom_on_odd_batch fails in the pool *and* in the parent, so
-        # the error must surface with the worker traceback attached.
+        # boom_on_odd_batch fails on every attempt, so once the retry
+        # policy runs out the error surfaces with the last traceback.
         executor = ParallelExecutor(jobs=2)
-        with pytest.raises(RuntimeError, match="failed in the worker and in serial retry"):
+        with pytest.raises(WorkerTaskError,
+                           match="(?s)quarantined after 2 attempt.*odd batch"):
             executor.map_batched(boom_on_odd_batch, [1, 3, 2, 4],
                                  key=parity, chunk_size=2)
 

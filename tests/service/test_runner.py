@@ -16,7 +16,6 @@ from repro.service import (
     JobSpec,
     JobStore,
     ServiceExecutor,
-    WorkStealingPool,
     report_fingerprint,
     task_key,
 )
@@ -49,8 +48,7 @@ def tiny_campaign(name: str = "") -> JobSpec:
 def make_executor(tmp_path, job="j1"):
     store = JobStore(str(tmp_path))
     os.makedirs(store.job_dir(job), exist_ok=True)
-    pool = WorkStealingPool(workers=1, retry=FAST_RETRY)
-    return store, ServiceExecutor(store, job, pool)
+    return store, ServiceExecutor(store, job, retry=FAST_RETRY)
 
 
 class TestTaskKey:
@@ -71,8 +69,7 @@ class TestServiceExecutor:
                                   "tasks_executed": 3,
                                   "tasks_total": 3}
         # A fresh executor over the same store replays the journal.
-        resumed = ServiceExecutor(store, "j1",
-                                  WorkStealingPool(workers=1))
+        resumed = ServiceExecutor(store, "j1")
         assert resumed.map(_double, [1, 2, 3]) == [2, 4, 6]
         assert resumed.stats == {"tasks_from_journal": 3,
                                  "tasks_executed": 0,
@@ -86,8 +83,7 @@ class TestServiceExecutor:
                                    chunk_size=3)
         assert out == [x * 2 for x in items]
         assert executor.stats["tasks_executed"] == 4    # 2 per group
-        resumed = ServiceExecutor(store, "j1",
-                                  WorkStealingPool(workers=1))
+        resumed = ServiceExecutor(store, "j1")
         assert resumed.map_batched(_double_chunk, items, key=key,
                                    chunk_size=3) == out
         assert resumed.stats["tasks_executed"] == 0
@@ -96,8 +92,7 @@ class TestServiceExecutor:
     def test_partial_journal_runs_only_missing(self, tmp_path):
         store, executor = make_executor(tmp_path)
         executor.map(_double, [1, 2])
-        resumed = ServiceExecutor(store, "j1",
-                                  WorkStealingPool(workers=1))
+        resumed = ServiceExecutor(store, "j1")
         assert resumed.map(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
         assert resumed.stats["tasks_from_journal"] == 2
         assert resumed.stats["tasks_executed"] == 2

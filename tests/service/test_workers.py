@@ -9,7 +9,7 @@ import pytest
 
 from repro.harness import RetryPolicy
 from repro.obsv import EventBus
-from repro.service import PoolCancelled, Task, WorkStealingPool
+from repro.harness import PoolCancelled, Task, WorkStealingPool
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay_s=0.0)
 ONE_SHOT = RetryPolicy(max_attempts=1)
@@ -60,7 +60,7 @@ def test_workers_shed_inherited_signal_handlers():
     # SIGTERM back to its default disposition and ignore SIGINT.
     import signal
 
-    from repro.harness.sweep import reset_worker_signals
+    from repro.harness.pool import reset_worker_signals
 
     def dummy(signum, frame):
         raise AssertionError("should never fire")

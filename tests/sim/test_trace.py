@@ -1,7 +1,6 @@
 """Tracer unit tests: recording, export schema, overhead, determinism."""
 
 import json
-import time
 
 import pytest
 
@@ -165,23 +164,26 @@ class TestTracingIsPassive:
         assert traced.cycles == plain.cycles
         assert traced.fases_committed == plain.fases_committed
 
-    def test_disabled_path_overhead_within_noise(self):
-        """The NullTracer run must not be meaningfully slower than ...
-        itself; compared against a *recording* run it must be faster or
-        within 5%.  Medians over repeats keep the check stable."""
-        spec = RunSpec(**self.SPEC)
+    def test_disabled_path_records_nothing_and_changes_nothing(self):
+        """Every recording call sits behind an ``enabled`` guard: a
+        disabled tracer that counts its calls sees none, and the run's
+        serialised result is identical to one with no tracer at all."""
 
-        def timed(tracer):
-            samples = []
-            for _ in range(3):
-                start = time.perf_counter()
-                execute_spec(spec, tracer=tracer)
-                samples.append(time.perf_counter() - start)
-            return sorted(samples)[1]
+        class CountingNullTracer(NullTracer):
+            def __init__(self):
+                self.calls = 0
 
-        timed(None)  # warm caches/JIT-free but warms allocator paths
-        disabled = timed(None)
-        enabled = timed(TraceRecorder())
-        # Recording strictly does more work, so the disabled path must
-        # come in at most 5% above it (i.e. the guard itself is noise).
-        assert disabled <= enabled * 1.05
+            def instant(self, *args, **kwargs):
+                self.calls += 1
+
+            def complete(self, *args, **kwargs):
+                self.calls += 1
+
+            def counter(self, *args, **kwargs):
+                self.calls += 1
+
+        counting = CountingNullTracer()
+        observed = execute_spec(RunSpec(**self.SPEC), tracer=counting)
+        plain = execute_spec(RunSpec(**self.SPEC))
+        assert counting.calls == 0
+        assert observed.to_dict() == plain.to_dict()
